@@ -318,8 +318,8 @@ json::Object submission_path_bench(bool* failed) {
               static_cast<unsigned long long>(steady_allocs),
               bench::fmt(on_result.sustained_per_sec(), 1).c_str(),
               bench::fmt(off_result.sustained_per_sec(), 1).c_str(),
-              bench::fmt(on_result.wall_ms).c_str(),
-              bench::fmt(off_result.wall_ms).c_str());
+              bench::fmt(on_result.sharding.wall_ms).c_str(),
+              bench::fmt(off_result.sharding.wall_ms).c_str());
   if (on_result.sustained_per_sec() != off_result.sustained_per_sec()) {
     std::fprintf(stderr, "plan cache changed sim-time throughput - "
                          "transparency broken, BENCH BUG\n");
@@ -346,8 +346,8 @@ json::Object submission_path_bench(bool* failed) {
   section.set("sustained_delta",
               json::Value(on_result.sustained_per_sec() -
                           off_result.sustained_per_sec()));
-  section.set("wall_ms_on", json::Value(on_result.wall_ms));
-  section.set("wall_ms_off", json::Value(off_result.wall_ms));
+  section.set("wall_ms_on", json::Value(on_result.sharding.wall_ms));
+  section.set("wall_ms_off", json::Value(off_result.sharding.wall_ms));
   return section;
 }
 
@@ -453,13 +453,14 @@ bool run(const char* json_path) {
         sim::LatencyModel::lognormal(sim::milliseconds(1), 0.5);
     const Result<std::vector<core::ExecutionResult>> serial =
         core::execute_queue(policy_ptrs, schedule_ptrs, config);
-    const Result<core::MergedExecutionResult> merged_run =
+    const Result<core::MultiFlowExecutionResult> merged_run =
         core::execute_merged(policy_ptrs, schedule_ptrs, config);
     if (!serial.ok() || !merged_run.ok()) continue;
     const double serial_ms = sim::to_ms(
         serial.value().back().update.finished -
         serial.value().front().update.started);
-    const double merged_ms = merged_run.value().update_ms();
+    const double merged_ms =
+        sim::to_ms(merged_run.value().updates.front().duration());
     makespan.add_row({std::to_string(k), bench::fmt(serial_ms),
                       bench::fmt(merged_ms),
                       bench::fmt(serial_ms / merged_ms, 1) + "x"});
@@ -499,7 +500,7 @@ bool run(const char* json_path) {
         core::execute_multiflow(policy_ptrs, schedule_ptrs,
                                 concurrent_config);
     core::ExecutorConfig batched_config = concurrent_config;
-    batched_config.controller.batch_frames = true;
+    batched_config.controller.batch_mode = controller::BatchMode::kInstant;
     const Result<core::MultiFlowExecutionResult> batched =
         core::execute_multiflow(policy_ptrs, schedule_ptrs, batched_config);
     if (!serial.ok() || !concurrent.ok() || !batched.ok()) continue;
@@ -540,7 +541,7 @@ bool run(const char* json_path) {
     config.traffic_interarrival =
         sim::LatencyModel::constant(sim::milliseconds(2));
     config.controller.max_in_flight = kAdmissionFlows;
-    config.controller.batch_frames = true;
+    config.controller.batch_mode = controller::BatchMode::kInstant;
     config.controller.admission = policy;
     const Result<core::MultiFlowExecutionResult> run =
         core::execute_multiflow(pool.instance_ptrs, pool.schedule_ptrs,

@@ -84,7 +84,7 @@ int main() {
       core::execute_multiflow(instance_ptrs, schedule_ptrs,
                               concurrent_config);
   core::ExecutorConfig batched_config = concurrent_config;
-  batched_config.controller.batch_frames = true;
+  batched_config.controller.batch_mode = controller::BatchMode::kInstant;
   Result<core::MultiFlowExecutionResult> batched =
       core::execute_multiflow(instance_ptrs, schedule_ptrs, batched_config);
   if (!concurrent.ok() || !batched.ok()) {

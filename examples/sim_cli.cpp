@@ -10,7 +10,7 @@
 // over a shared switch pool, admitted under the chosen policy.
 //
 //   $ ./build/sim_cli --flows 256 --switches 60
-//         --admission conflict_aware --max-in-flight 256 --batch
+//         --admission conflict_aware --max-in-flight 256 --batch-mode instant
 //
 // Serve mode runs the open-loop service (core/service.hpp): Poisson
 // arrivals against a template pool, bounded pending queue, live JSON
@@ -44,7 +44,7 @@ void usage() {
                "               [--flows N] [--switches S]\n"
                "               [--admission blind|conflict_aware|serialize]\n"
                "               [--admission-release request|round]\n"
-               "               [--max-in-flight K] [--batch]\n"
+               "               [--max-in-flight K]\n"
                "               [--batch-mode off|instant|window|adaptive]\n"
                "               [--batch-window-ms MS] [--batch-bytes N]\n"
                "               [--batch-replies]\n"
@@ -62,12 +62,11 @@ void usage() {
                "  workloads : fig1 | reversal:<n> | random:<seed>\n"
                "  --flows >1 runs the concurrent multi-flow engine on a\n"
                "  shared pool of --switches switches (default 6 per flow)\n"
-               "  --batch is the legacy alias for --batch-mode instant; an\n"
-               "  explicit --batch-mode (from flag or config file, including\n"
-               "  'off') overrides the alias. window/adaptive hold a\n"
-               "  per-switch outbox up to the window (or byte budget) to\n"
-               "  pack cross-flow frames; --batch-replies coalesces\n"
-               "  same-instant switch->controller replies too\n"
+               "  --batch-mode instant coalesces same-instant messages per\n"
+               "  switch; window/adaptive hold a per-switch outbox up to\n"
+               "  the window (or byte budget) to pack cross-flow frames;\n"
+               "  --batch-replies coalesces same-instant switch->controller\n"
+               "  replies too\n"
                "  --shards N partitions the switches across N controller\n"
                "  shards (hash scatters NodeIds, block keeps contiguous\n"
                "  ranges shard-local, greedy_cut packs switches that share\n"
@@ -121,8 +120,7 @@ int run_multiflow(std::size_t flows, std::size_t switches,
               controller::to_string(config.controller.admission),
               controller::to_string(config.controller.admission_release),
               config.controller.max_in_flight,
-              controller::to_string(
-                  controller::effective_batch_mode(config.controller)),
+              controller::to_string(config.controller.batch_mode),
               sim::to_ms(config.controller.batch_window),
               config.controller.batch_bytes);
   std::printf("shards   : %zu (%s partition, %s exec)%s\n",
@@ -242,7 +240,6 @@ int main(int argc, char** argv) {
   std::optional<controller::AdmissionPolicy> admission_flag;
   std::optional<controller::AdmissionRelease> admission_release_flag;
   std::optional<std::size_t> max_in_flight_flag;
-  bool batch_flag = false;
   std::optional<controller::BatchMode> batch_mode_flag;
   std::optional<double> batch_window_ms_flag;
   std::optional<std::size_t> batch_bytes_flag;
@@ -344,8 +341,6 @@ int main(int argc, char** argv) {
       const auto n = v != nullptr ? parse_int(v) : std::nullopt;
       if (!n.has_value() || *n < 1) return usage(), 1;
       max_in_flight_flag = static_cast<std::size_t>(*n);
-    } else if (arg == "--batch") {
-      batch_flag = true;
     } else if (arg == "--batch-mode") {
       const char* v = next();
       const auto mode =
@@ -477,13 +472,8 @@ int main(int argc, char** argv) {
     config.controller.admission = *admission_flag;
   if (max_in_flight_flag.has_value())
     config.controller.max_in_flight = *max_in_flight_flag;
-  if (batch_flag) config.controller.batch_frames = true;
-  if (batch_mode_flag.has_value()) {
+  if (batch_mode_flag.has_value())
     config.controller.batch_mode = *batch_mode_flag;
-    // Explicit mode retires the legacy alias: --batch-mode off wins over
-    // --batch and over a config file's batch_frames.
-    config.controller.batch_frames = false;
-  }
   if (batch_window_ms_flag.has_value())
     config.controller.batch_window = sim::from_ms(*batch_window_ms_flag);
   if (batch_bytes_flag.has_value())

@@ -343,7 +343,7 @@ void Controller::send_to_switch(NodeId node, proto::Message message) {
   // unfenced log here, before batching can obscure it.
   if (fault_tolerance() && message.type() == proto::MsgType::kFlowMod)
     record_send(node, std::get<proto::FlowMod>(message.body));
-  if (batch_mode_ == BatchMode::kOff) {
+  if (config_.batch_mode == BatchMode::kOff) {
     it->second(message);
     return;
   }
@@ -353,7 +353,7 @@ void Controller::send_to_switch(NodeId node, proto::Message message) {
   box.bytes += bytes;
   box.entries.push_back(OutboxEntry{std::move(message), sim_.now(), bytes});
 
-  if (batch_mode_ == BatchMode::kInstant) {
+  if (config_.batch_mode == BatchMode::kInstant) {
     // Same-instant coalescing: one zero-delay event ships every outbox.
     if (!flush_scheduled_) {
       flush_scheduled_ = true;
@@ -382,7 +382,7 @@ void Controller::send_to_switch(NodeId node, proto::Message message) {
   // message of this fill waits strictly less than the full window.
   if (!box.timer_armed) {
     box.timer_armed = true;
-    const sim::Duration window = batch_mode_ == BatchMode::kAdaptive
+    const sim::Duration window = config_.batch_mode == BatchMode::kAdaptive
                                      ? adaptive_window()
                                      : config_.batch_window;
     // kLocal: same argument as the instant flush above.

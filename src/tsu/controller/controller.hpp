@@ -31,8 +31,7 @@
 //
 //   kOff      every message is its own frame (no outbox).
 //   kInstant  a zero-delay event flushes all outboxes, so only messages of
-//             the same simulation instant coalesce (the PR-1 behaviour,
-//             still reachable via the legacy `batch_frames` bool).
+//             the same simulation instant coalesce.
 //   kWindow   each outbox holds its messages up to `batch_window` behind a
 //             cancellable flush timer, so messages of *different* instants
 //             share a frame; the accumulated encoded-byte budget
@@ -145,11 +144,6 @@ struct ControllerConfig {
   // How many update requests may progress concurrently. 1 reproduces the
   // paper's strictly serializing message queue.
   std::size_t max_in_flight = 1;
-  // Legacy knob predating BatchMode: true upgrades kOff to kInstant (the
-  // coalescing it used to select). Layers that let a caller set batch_mode
-  // explicitly (config JSON, REST overrides, sim_cli) clear this alias
-  // alongside, so an explicit "off" really turns batching off.
-  bool batch_frames = false;
   // Outbox flush policy and its two budgets: the hold window for
   // kWindow/kAdaptive and the per-switch encoded-byte force-flush budget.
   BatchMode batch_mode = BatchMode::kOff;
@@ -215,14 +209,6 @@ struct ControllerConfig {
   bool resubmit_after_rollback = true;
 };
 
-// The flush policy after legacy-knob normalization: `batch_frames` only
-// means kInstant when no explicit mode is set.
-inline BatchMode effective_batch_mode(const ControllerConfig& config) noexcept {
-  if (config.batch_mode == BatchMode::kOff && config.batch_frames)
-    return BatchMode::kInstant;
-  return config.batch_mode;
-}
-
 // RoundMetrics / UpdateMetrics live in controller/completion_log.hpp,
 // together with the bounded CompletionLog that replaced the append-only
 // completed-metrics vector.
@@ -238,14 +224,14 @@ class Controller {
   Controller(sim::Simulator& simulator, ControllerConfig config)
       : sim_(simulator), config_(config), admission_(config.admission) {
     if (config_.max_in_flight == 0) config_.max_in_flight = 1;
-    batch_mode_ = effective_batch_mode(config_);
     // The pre-encoded send path is only byte-transparent when every frame
     // would be its own wire frame anyway (no outbox coalescing) and no
     // shadow-table bookkeeping needs the Message object (no fault
     // tolerance). Otherwise plan submissions fall back to Message sends -
     // still skipping lowering/footprint/encode recomputation.
     encoded_eligible_ =
-        batch_mode_ == BatchMode::kOff && config_.liveness_timeout == 0;
+        config_.batch_mode == BatchMode::kOff &&
+        config_.liveness_timeout == 0;
     // The recycle stack is a fixed-capacity pool: reserving it here means
     // retire_xid never allocates, so long service runs stay off the heap
     // (the pool would otherwise double its way up during the pre-wrap
@@ -308,7 +294,6 @@ class Controller {
     return flush_timers_cancelled_;
   }
   sim::Duration max_hold() const noexcept { return max_hold_; }
-  BatchMode batch_mode() const noexcept { return batch_mode_; }
 
   // Admission stats: dependency edges the conflict DAG created and
   // requests that entered the queue blocked on a conflict.
@@ -681,9 +666,7 @@ class Controller {
     sim::EventId timer = 0;
   };
 
-  // Normalized flush policy (legacy batch_frames folded in at
-  // construction). Ordered map so flush-all order is deterministic.
-  BatchMode batch_mode_ = BatchMode::kOff;
+  // Ordered map so flush-all order is deterministic.
   std::map<NodeId, Outbox> outbox_;
   // Reused flush staging buffer: capacities circulate between it and the
   // outboxes, so steady-state flushes stop allocating at high-water size.

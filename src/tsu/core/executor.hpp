@@ -1,15 +1,15 @@
-// Executes a schedule against the full simulated control plane - the C++
-// equivalent of running the paper's demo once: switches come up with the old
-// route installed, traffic flows, the controller pushes the schedule round
-// by round over asynchronous channels with barriers, and the consistency
-// monitor watches every packet.
+// Executes update schedules against the full simulated control plane - the
+// C++ equivalent of running the paper's demo: switches come up with the old
+// routes installed, traffic flows, the controller pushes each schedule
+// round by round over asynchronous channels with barriers, and the
+// consistency monitor watches every packet.
 //
-// The engine behind every entry point runs over CONTROLLER SHARDS
-// (controller/shard.hpp): config.controller.shards partitions the switches
-// across that many controller instances on a sharded logical clock
-// (sim/sharded.hpp), with cross-shard updates coordinated round-by-round.
-// The default shards = 1 is the single controller, bit-identical to the
-// pre-sharding engine.
+// Every entry point below, and execute_service (service.hpp), runs the same
+// engine; they differ only in what they submit and when. The engine
+// partitions the switches across config.controller.shards controller
+// shards (controller/shard.hpp) on a sharded logical clock
+// (sim/sharded.hpp), coordinating cross-shard updates round by round;
+// shards = 1 is the single controller.
 #pragma once
 
 #include <cstdint>
@@ -57,8 +57,7 @@ struct ExecutorConfig {
 struct ExecutionResult {
   controller::UpdateMetrics update;        // timings as the controller saw them
   dataplane::MonitorReport traffic;        // packet outcome counts
-  std::vector<dataplane::ConsistencyMonitor::Bucket> timeline;
-  sim::Duration timeline_bucket = 0;
+  std::vector<dataplane::ConsistencyMonitor::Bucket> timeline;  // per 1 ms
   std::size_t frames_sent = 0;             // control-channel frames
   std::size_t control_bytes = 0;
   std::size_t packets_injected = 0;
@@ -66,26 +65,6 @@ struct ExecutionResult {
   double update_ms() const noexcept { return sim::to_ms(update.duration()); }
 };
 
-// Runs one simulated update. The instance's node ids index the switches;
-// the schedule must already be planned for this instance.
-Result<ExecutionResult> execute(const update::Instance& inst,
-                                const update::Schedule& schedule,
-                                const ExecutorConfig& config = {});
-
-// Executes several updates through one controller back-to-back (the paper's
-// message queue; bench E8). The controller is forced to max_in_flight = 1,
-// so results are per-request in submission order.
-Result<std::vector<ExecutionResult>> execute_queue(
-    const std::vector<const update::Instance*>& instances,
-    const std::vector<const update::Schedule*>& schedules,
-    const ExecutorConfig& config = {});
-
-// Executes several updates CONCURRENTLY through one controller: up to
-// config.controller.max_in_flight requests progress at once, their rounds
-// interleaving on the shared control plane, while per-flow traffic and the
-// consistency monitor observe every flow simultaneously. With
-// config.controller.batch_frames the controller coalesces same-instant
-// messages per switch into Batch frames.
 // Batching observability of one engine run (see controller::BatchMode):
 // frames actually batched, what triggered the flushes, and the longest any
 // message was held in an outbox past readiness (bounded by batch_window).
@@ -139,9 +118,9 @@ struct ShardStats {
   }
 };
 
-struct MultiFlowExecutionResult {
-  std::vector<ExecutionResult> flows;     // indexed like the input lists
-  dataplane::MonitorReport aggregate;     // outcome counts over all flows
+// Control-plane counters of one engine run, collected once after it
+// drains. Every result type - closed loop and service - carries them.
+struct RunCounters {
   std::size_t frames_sent = 0;            // control-channel frames, total
   std::size_t control_bytes = 0;
   std::size_t messages_sent = 0;          // logical messages (>= frames)
@@ -165,63 +144,67 @@ struct MultiFlowExecutionResult {
   // any update ran: what a fully rolled-back, non-resubmitted update must
   // leave behind.
   std::uint64_t initial_state_digest = 0;
+};
+
+// The result of every closed-loop run.
+struct MultiFlowExecutionResult : RunCounters {
+  std::vector<ExecutionResult> flows;     // indexed like the input lists
+  // execute_mixed / execute_merged: each group's update, in group order;
+  // the flows then carry traffic only. Empty for execute_multiflow, whose
+  // flows[i].update is request i's.
+  std::vector<controller::UpdateMetrics> updates;
+  dataplane::MonitorReport aggregate;     // outcome counts over all flows
   sim::Duration makespan = 0;             // first start -> last finish
 
   double makespan_ms() const noexcept { return sim::to_ms(makespan); }
 };
 
+// Runs one update: execute_queue of one. The instance's node ids index the
+// switches; the schedule must already be planned for this instance.
+Result<ExecutionResult> execute(const update::Instance& inst,
+                                const update::Schedule& schedule,
+                                const ExecutorConfig& config = {});
+
+// Runs several updates back to back through one controller - the paper's
+// serializing message queue (bench E8): execute_multiflow with
+// max_in_flight = 1, results in submission order. max_in_flight bounds
+// each shard separately, so a queue of more than one update requires
+// controller.shards <= 1 (kInvalidArgument otherwise).
+Result<std::vector<ExecutionResult>> execute_queue(
+    const std::vector<const update::Instance*>& instances,
+    const std::vector<const update::Schedule*>& schedules,
+    const ExecutorConfig& config = {});
+
+// Runs several updates CONCURRENTLY through one controller, all submitted
+// at the end of the warmup: up to config.controller.max_in_flight requests
+// per shard progress at once under the admission policy, their rounds
+// interleaving on the shared control plane (coalesced into Batch frames
+// per controller.batch_mode), while per-flow traffic and consistency
+// monitors observe every flow. Flow i is config.flow + i.
 Result<MultiFlowExecutionResult> execute_multiflow(
     const std::vector<const update::Instance*>& instances,
     const std::vector<const update::Schedule*>& schedules,
     const ExecutorConfig& config = {});
 
-// Executes several policies as ONE multi-policy request whose global rounds
-// interleave the per-policy rounds (update::merge_policies +
-// controller::request_from_merged; bench E11). Per-policy guarantees carry
-// over because each policy's rounds stay ordered and barrier-separated.
-struct MergedExecutionResult {
-  controller::UpdateMetrics update;              // the single merged update
-  std::vector<dataplane::MonitorReport> traffic; // per policy
-  std::size_t frames_sent = 0;
-
-  double update_ms() const noexcept { return sim::to_ms(update.duration()); }
-};
-
-Result<MergedExecutionResult> execute_merged(
-    const std::vector<const update::Instance*>& instances,
-    const std::vector<const update::Schedule*>& schedules,
-    const ExecutorConfig& config = {});
-
-// Executes a MIX of merged and independent requests through one controller:
+// Runs a MIX of merged and independent requests through one controller:
 // `groups` partitions the policy indexes; each singleton group becomes an
-// ordinary per-flow request, each larger group is merged
-// (update::merge_policies) into one multi-policy request, and all requests
-// then compose through the controller's admission policy - a merged request
-// runs concurrently with any independent request whose rule footprint it
-// does not overlap. This is execute_merged and execute_multiflow on the
-// same control plane at once.
-struct MixedExecutionResult {
-  std::vector<controller::UpdateMetrics> updates;  // per group, input order
-  std::vector<dataplane::MonitorReport> traffic;   // per policy, input order
-  dataplane::MonitorReport aggregate;
-  std::size_t frames_sent = 0;
-  std::size_t max_in_flight_observed = 0;
-  std::uint64_t conflict_edges = 0;
-  std::uint64_t blocked_submissions = 0;
-  BatchingStats batching;
-  ShardStats sharding;
-  sim::FaultStats faults;
-  std::uint64_t final_state_digest = 0;
-  std::uint64_t initial_state_digest = 0;
-  sim::Duration makespan = 0;
-
-  double makespan_ms() const noexcept { return sim::to_ms(makespan); }
-};
-
-Result<MixedExecutionResult> execute_mixed(
+// ordinary per-flow request, each larger group ONE multi-policy request
+// whose global rounds interleave its policies' rounds
+// (update::merge_policies + controller::request_from_merged; bench E11).
+// Per-policy guarantees carry over because each policy's rounds stay
+// ordered and barrier-separated, and all requests compose through the
+// admission policy - a merged request runs concurrently with any request
+// whose rule footprint it does not overlap.
+Result<MultiFlowExecutionResult> execute_mixed(
     const std::vector<const update::Instance*>& instances,
     const std::vector<const update::Schedule*>& schedules,
     const std::vector<std::vector<std::size_t>>& groups,
+    const ExecutorConfig& config = {});
+
+// execute_mixed with every policy in one merged group.
+Result<MultiFlowExecutionResult> execute_merged(
+    const std::vector<const update::Instance*>& instances,
+    const std::vector<const update::Schedule*>& schedules,
     const ExecutorConfig& config = {});
 
 }  // namespace tsu::core

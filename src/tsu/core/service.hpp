@@ -166,7 +166,9 @@ struct ServiceSnapshot {
   double p99_wait_ms = 0;
 };
 
-struct ServiceResult {
+// The engine's RunCounters (frames, digests, batching, sharding) plus the
+// service's own accounting.
+struct ServiceResult : RunCounters {
   ServiceStats stats;
   // Lifetime aggregation of every completion (count, aborted, streaming
   // mean/stddev and log-histogram quantiles of duration and admission
@@ -179,10 +181,7 @@ struct ServiceResult {
   // Controller map/queue entries after the drain - the leak detector; a
   // healthy run ends at 0.
   std::size_t steady_state_entries_final = 0;
-  std::uint64_t final_state_digest = 0;
   sim::Duration sim_duration = 0;  // first arrival -> last completion
-  double wall_ms = 0;
-  std::size_t frames_sent = 0;
   // Xid sequence numbers sitting in the per-shard recycle free lists after
   // the drain - nonzero proves updates retired and released their xids.
   std::size_t retired_xids = 0;

@@ -71,11 +71,6 @@ ConsistencyMonitor& MultiFlowMonitor::monitor(FlowId flow) {
   return flows_.try_emplace(flow, bucket_width_).first->second;
 }
 
-const ConsistencyMonitor* MultiFlowMonitor::find(FlowId flow) const noexcept {
-  const auto it = flows_.find(flow);
-  return it == flows_.end() ? nullptr : &it->second;
-}
-
 MonitorReport MultiFlowMonitor::aggregate() const {
   MonitorReport sum;
   for (const auto& [flow, monitor] : flows_) {

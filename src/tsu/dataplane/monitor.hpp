@@ -11,6 +11,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tsu/sim/time.hpp"
@@ -78,6 +79,8 @@ class ConsistencyMonitor {
   };
   // Outcome counts per bucket_width window since t=0 (index = t / width).
   const std::vector<Bucket>& timeline() const noexcept { return timeline_; }
+  // Moves the timeline out, leaving it empty.
+  std::vector<Bucket> take_timeline() noexcept { return std::move(timeline_); }
   sim::Duration bucket_width() const noexcept { return bucket_width_; }
 
   // Renders the per-bucket bypass/loop counts as a compact text timeline.
@@ -102,12 +105,6 @@ class MultiFlowMonitor {
 
   // The monitor watching `flow`; created on first use.
   ConsistencyMonitor& monitor(FlowId flow);
-  const ConsistencyMonitor* find(FlowId flow) const noexcept;
-
-  const std::map<FlowId, ConsistencyMonitor>& flows() const noexcept {
-    return flows_;
-  }
-  std::size_t flow_count() const noexcept { return flows_.size(); }
 
   // Outcome counts summed across every flow.
   MonitorReport aggregate() const;

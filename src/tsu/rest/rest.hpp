@@ -53,7 +53,6 @@ struct RestUpdateMessage {
   std::optional<controller::AdmissionPolicy> admission;
   std::optional<controller::AdmissionRelease> admission_release;
   std::optional<std::size_t> max_in_flight;
-  std::optional<bool> batch_frames;
   std::optional<controller::BatchMode> batch_mode;
   std::optional<double> batch_window_ms;
   std::optional<std::size_t> batch_bytes;
@@ -94,8 +93,8 @@ Result<update::Instance> to_instance(const RestUpdateMessage& message,
                                      const topo::Topology& topology);
 
 // Applies the message's optional controller knobs (admission policy and
-// release granularity, max_in_flight, the batching knobs batch_frames /
-// batch_mode / batch_window_ms / batch_bytes, the sharding knobs
+// release granularity, max_in_flight, the batching knobs batch_mode /
+// batch_window_ms / batch_bytes, the sharding knobs
 // shards / partition / exec / threads / speculate / steal, and the
 // fault-tolerance knobs liveness_timeout_ms / failure_response) onto a
 // controller configuration.

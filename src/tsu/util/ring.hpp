@@ -46,6 +46,12 @@ class FlatRing {
   void push_back(const T& value) { *next_slot() = value; }
   void push_back(T&& value) { *next_slot() = std::move(value); }
 
+  // Sizes the slots for `n` elements up front, so depths up to `n` never
+  // allocate.
+  void reserve(std::size_t n) {
+    if (n > slots_.size()) grow(n);
+  }
+
   // Drops the queued elements; slots (and their capacity) stay.
   void clear() noexcept {
     head_ = 0;
@@ -54,17 +60,16 @@ class FlatRing {
 
  private:
   T* next_slot() {
-    if (count_ == slots_.size()) grow();
+    if (count_ == slots_.size()) grow(count_ == 0 ? 8 : count_ * 2);
     T* slot = &slots_[(head_ + count_) % slots_.size()];
     ++count_;
     return slot;
   }
 
-  void grow() {
-    const std::size_t old_cap = slots_.size();
-    std::vector<T> bigger(old_cap == 0 ? 8 : old_cap * 2);
+  void grow(std::size_t capacity) {
+    std::vector<T> bigger(capacity);
     for (std::size_t i = 0; i < count_; ++i)
-      bigger[i] = std::move(slots_[(head_ + i) % old_cap]);
+      bigger[i] = std::move(slots_[(head_ + i) % slots_.size()]);
     slots_ = std::move(bigger);
     head_ = 0;
   }

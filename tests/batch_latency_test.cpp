@@ -134,7 +134,7 @@ TEST(BatchLatencyTest, BudgetFlushesCancelTimersWithoutLosingMessages) {
 TEST(BatchLatencyTest, BarrierRoundsAlwaysFlushLiveness500Seeds) {
   // Random tiny workloads under random flush policies, windows (including
   // zero), byte budgets, admission policies and concurrency limits: every
-  // run must complete every update (run_engine fails the run if the
+  // run must complete every update (the engine fails the run if the
   // simulation drains first, which is exactly what an outbox deadlock -
   // a barrier stuck behind a never-firing flush - would look like).
   for (std::uint64_t seed = 1; seed <= 500; ++seed) {

@@ -108,7 +108,6 @@ TEST(ConfigTest, RangeChecks) {
   EXPECT_FALSE(parse(R"({"traffic": {"ttl": 0}})").ok());
   EXPECT_FALSE(parse(R"({"use_barriers": "yes"})").ok());
   EXPECT_FALSE(parse(R"({"max_in_flight": 0})").ok());
-  EXPECT_FALSE(parse(R"({"batch_frames": 1})").ok());
   EXPECT_FALSE(parse(R"({"batch_mode": "eager"})").ok());
   EXPECT_FALSE(parse(R"({"batch_window_ms": -0.5})").ok());
   EXPECT_FALSE(parse(R"({"batch_bytes": 0})").ok());
@@ -157,13 +156,11 @@ TEST(ConfigTest, ShardingKnobsParse) {
 
 TEST(ConfigTest, ControllerKnobsParse) {
   const Result<ExecutorConfig> parsed = parse(
-      R"({"max_in_flight": 64, "batch_frames": true,
+      R"({"max_in_flight": 64,
           "batch_mode": "window", "batch_window_ms": 0.25,
           "batch_bytes": 8192, "admission": "conflict_aware"})");
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
   EXPECT_EQ(parsed.value().controller.max_in_flight, 64u);
-  // The explicit batch_mode retired the legacy batch_frames alias.
-  EXPECT_FALSE(parsed.value().controller.batch_frames);
   EXPECT_EQ(parsed.value().controller.batch_mode,
             controller::BatchMode::kWindow);
   EXPECT_EQ(parsed.value().controller.batch_window, sim::microseconds(250));
@@ -172,36 +169,18 @@ TEST(ConfigTest, ControllerKnobsParse) {
             controller::AdmissionPolicy::kConflictAware);
 }
 
-TEST(ConfigTest, LegacyBatchFramesMeansInstantUnlessModeExplicit) {
+// batch_mode is the one batching knob: the retired batch_frames bool is
+// an unknown field like any other, never a silent alias.
+TEST(ConfigTest, BatchFramesIsAnUnknownField) {
   const Result<ExecutorConfig> legacy = parse(R"({"batch_frames": true})");
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(controller::effective_batch_mode(legacy.value().controller),
+  ASSERT_FALSE(legacy.ok());
+  EXPECT_EQ(legacy.error().code, Errc::kParseError);
+  EXPECT_EQ(legacy.error().message, "unknown config field 'batch_frames'");
+
+  const Result<ExecutorConfig> instant = parse(R"({"batch_mode": "instant"})");
+  ASSERT_TRUE(instant.ok());
+  EXPECT_EQ(instant.value().controller.batch_mode,
             controller::BatchMode::kInstant);
-  // A legacy config round-trips with its effective instant mode intact.
-  const Result<ExecutorConfig> legacy_again = parse(
-      std::string_view(json::write(config_to_json(legacy.value()))));
-  ASSERT_TRUE(legacy_again.ok());
-  EXPECT_EQ(controller::effective_batch_mode(legacy_again.value().controller),
-            controller::BatchMode::kInstant);
-
-  const Result<ExecutorConfig> explicit_mode =
-      parse(R"({"batch_frames": true, "batch_mode": "adaptive"})");
-  ASSERT_TRUE(explicit_mode.ok());
-  EXPECT_EQ(
-      controller::effective_batch_mode(explicit_mode.value().controller),
-      controller::BatchMode::kAdaptive);
-
-  // An explicit "off" overrides the legacy alias, whatever the key order.
-  const Result<ExecutorConfig> explicit_off =
-      parse(R"({"batch_mode": "off", "batch_frames": true})");
-  ASSERT_TRUE(explicit_off.ok());
-  EXPECT_EQ(controller::effective_batch_mode(explicit_off.value().controller),
-            controller::BatchMode::kOff);
-
-  const Result<ExecutorConfig> plain = parse(R"({})");
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(controller::effective_batch_mode(plain.value().controller),
-            controller::BatchMode::kOff);
 }
 
 TEST(ConfigTest, RoundTripThroughJson) {
@@ -213,7 +192,6 @@ TEST(ConfigTest, RoundTripThroughJson) {
   config.channel.loss_probability = 0.02;
   config.controller.use_barriers = false;
   config.controller.max_in_flight = 32;
-  config.controller.batch_frames = true;
   config.controller.batch_mode = controller::BatchMode::kAdaptive;
   config.controller.batch_window = sim::microseconds(750);
   config.controller.batch_bytes = 4096;
@@ -239,10 +217,6 @@ TEST(ConfigTest, RoundTripThroughJson) {
   EXPECT_DOUBLE_EQ(c.channel.loss_probability, 0.02);
   EXPECT_FALSE(c.controller.use_barriers);
   EXPECT_EQ(c.controller.max_in_flight, 32u);
-  // batch_frames is an input-only legacy alias; the EFFECTIVE flush policy
-  // is what must survive the trip.
-  EXPECT_EQ(controller::effective_batch_mode(c.controller),
-            controller::BatchMode::kAdaptive);
   EXPECT_EQ(c.controller.batch_mode, controller::BatchMode::kAdaptive);
   EXPECT_EQ(c.controller.batch_window, sim::microseconds(750));
   EXPECT_EQ(c.controller.batch_bytes, 4096u);

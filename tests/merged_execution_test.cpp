@@ -40,13 +40,14 @@ TEST(MergedExecutionTest, CompletesAndReportsPerPolicyTraffic) {
   const update::Instance b = policy_two();
   const update::Schedule sa = plan(a, Algorithm::kWayUp).value().schedule;
   const update::Schedule sb = plan(b, Algorithm::kWayUp).value().schedule;
-  const Result<MergedExecutionResult> result =
+  const Result<MultiFlowExecutionResult> result =
       execute_merged({&a, &b}, {&sa, &sb}, jittery(1));
   ASSERT_TRUE(result.ok()) << result.error().to_string();
-  ASSERT_EQ(result.value().traffic.size(), 2u);
-  EXPECT_GT(result.value().traffic[0].total, 0u);
-  EXPECT_GT(result.value().traffic[1].total, 0u);
-  EXPECT_GT(result.value().update_ms(), 0.0);
+  ASSERT_EQ(result.value().flows.size(), 2u);
+  EXPECT_GT(result.value().flows[0].traffic.total, 0u);
+  EXPECT_GT(result.value().flows[1].traffic.total, 0u);
+  ASSERT_EQ(result.value().updates.size(), 1u);
+  EXPECT_GT(result.value().updates[0].duration(), 0);
 }
 
 TEST(MergedExecutionTest, PerPolicyWaypointGuaranteesSurviveMerging) {
@@ -55,11 +56,11 @@ TEST(MergedExecutionTest, PerPolicyWaypointGuaranteesSurviveMerging) {
   const update::Schedule sa = plan(a, Algorithm::kWayUp).value().schedule;
   const update::Schedule sb = plan(b, Algorithm::kWayUp).value().schedule;
   for (std::uint64_t seed = 1; seed <= 15; ++seed) {
-    const Result<MergedExecutionResult> result =
+    const Result<MultiFlowExecutionResult> result =
         execute_merged({&a, &b}, {&sa, &sb}, jittery(seed));
     ASSERT_TRUE(result.ok()) << result.error().to_string();
-    EXPECT_EQ(result.value().traffic[0].bypassed, 0u) << "seed " << seed;
-    EXPECT_EQ(result.value().traffic[1].bypassed, 0u) << "seed " << seed;
+    EXPECT_EQ(result.value().flows[0].traffic.bypassed, 0u) << "seed " << seed;
+    EXPECT_EQ(result.value().flows[1].traffic.bypassed, 0u) << "seed " << seed;
   }
 }
 
@@ -79,10 +80,10 @@ TEST(MergedExecutionTest, MergedBeatsSerialMakespan) {
       serial.value().back().update.finished -
       serial.value().front().update.started;
 
-  const Result<MergedExecutionResult> merged =
+  const Result<MultiFlowExecutionResult> merged =
       execute_merged({&a, &b}, {&sa, &sb}, config);
   ASSERT_TRUE(merged.ok());
-  EXPECT_LT(merged.value().update.duration(), serial_makespan);
+  EXPECT_LT(merged.value().updates[0].duration(), serial_makespan);
 }
 
 TEST(MergedExecutionTest, FlowsRemainIsolatedInTables) {
@@ -93,13 +94,13 @@ TEST(MergedExecutionTest, FlowsRemainIsolatedInTables) {
   const update::Instance b = policy_two();
   const update::Schedule sa = plan(a, Algorithm::kPeacock).value().schedule;
   const update::Schedule sb = plan(b, Algorithm::kPeacock).value().schedule;
-  const Result<MergedExecutionResult> result =
+  const Result<MultiFlowExecutionResult> result =
       execute_merged({&a, &b}, {&sa, &sb}, jittery(5));
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result.value().traffic[0].looped, 0u);
-  EXPECT_EQ(result.value().traffic[1].looped, 0u);
-  EXPECT_GT(result.value().traffic[0].delivered, 0u);
-  EXPECT_GT(result.value().traffic[1].delivered, 0u);
+  EXPECT_EQ(result.value().flows[0].traffic.looped, 0u);
+  EXPECT_EQ(result.value().flows[1].traffic.looped, 0u);
+  EXPECT_GT(result.value().flows[0].traffic.delivered, 0u);
+  EXPECT_GT(result.value().flows[1].traffic.delivered, 0u);
 }
 
 TEST(MergedExecutionTest, RejectsEmptyInput) {
@@ -142,14 +143,15 @@ TEST(MixedExecutionTest, MergedRequestComposesWithIndependentRequests) {
   const std::vector<const update::Instance*> instances{
       &a, &b, &independents[0], &independents[1]};
   const std::vector<const update::Schedule*> schedules{&sa, &sb, &s0, &s1};
-  const Result<MixedExecutionResult> run = execute_mixed(
+  const Result<MultiFlowExecutionResult> run = execute_mixed(
       instances, schedules, {{0, 1}, {2}, {3}}, config);
   ASSERT_TRUE(run.ok()) << run.error().to_string();
-  const MixedExecutionResult& result = run.value();
+  const MultiFlowExecutionResult& result = run.value();
 
   ASSERT_EQ(result.updates.size(), 3u);  // merged + two independents
-  ASSERT_EQ(result.traffic.size(), 4u);  // per policy
-  for (const dataplane::MonitorReport& report : result.traffic) {
+  ASSERT_EQ(result.flows.size(), 4u);  // per policy
+  for (const ExecutionResult& flow : result.flows) {
+    const dataplane::MonitorReport& report = flow.traffic;
     EXPECT_GT(report.total, 0u);
     EXPECT_EQ(report.bypassed, 0u);
     EXPECT_EQ(report.looped, 0u);
@@ -202,10 +204,10 @@ TEST(MergedExecutionTest, ManyRandomPoliciesMerge) {
   }
   ExecutorConfig config;
   config.with_traffic = false;
-  const Result<MergedExecutionResult> result =
+  const Result<MultiFlowExecutionResult> result =
       execute_merged(instance_ptrs, schedule_ptrs, config);
   ASSERT_TRUE(result.ok()) << result.error().to_string();
-  EXPECT_GT(result.value().update.rounds.size(), 0u);
+  EXPECT_GT(result.value().updates[0].rounds.size(), 0u);
 }
 
 }  // namespace

@@ -18,7 +18,7 @@ TEST(MultiFlowExecutionTest, SustainsSixtyFourConcurrentUpdates) {
   const Workload w = disjoint_workload(64);
   ExecutorConfig config;
   config.controller.max_in_flight = 64;
-  config.controller.batch_frames = true;
+  config.controller.batch_mode = controller::BatchMode::kInstant;
   const Result<MultiFlowExecutionResult> run =
       execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config);
   ASSERT_TRUE(run.ok()) << run.error().to_string();
@@ -64,7 +64,7 @@ TEST(MultiFlowExecutionTest, BatchedMatchesSerialViolationsWithFewerFrames) {
   ExecutorConfig serial_config;  // K = 1, no batching
   ExecutorConfig batched_config;
   batched_config.controller.max_in_flight = 8;
-  batched_config.controller.batch_frames = true;
+  batched_config.controller.batch_mode = controller::BatchMode::kInstant;
   const Result<std::vector<ExecutionResult>> serial =
       execute_queue(w.instance_ptrs, w.schedule_ptrs, serial_config);
   const Result<MultiFlowExecutionResult> batched =
@@ -98,6 +98,30 @@ TEST(MultiFlowExecutionTest, ResultsIndexedBySubmissionOrder) {
   ASSERT_TRUE(run.ok());
   for (std::size_t i = 0; i < run.value().flows.size(); ++i)
     EXPECT_EQ(run.value().flows[i].update.flow, config.flow + i);
+}
+
+// The queue serializes through max_in_flight = 1, which bounds each shard
+// separately: several updates over several shards would overlap, so the
+// queue rejects that instead of silently running them concurrently. One
+// update has nothing to serialize against and runs on any shard count.
+TEST(MultiFlowExecutionTest, QueueIsSerialOrRejected) {
+  const Workload w = disjoint_workload(16);
+  ExecutorConfig config;
+  const Result<std::vector<ExecutionResult>> serial =
+      execute_queue(w.instance_ptrs, w.schedule_ptrs, config);
+  ASSERT_TRUE(serial.ok()) << serial.error().to_string();
+  for (std::size_t i = 1; i < serial.value().size(); ++i)
+    EXPECT_GE(serial.value()[i].update.started,
+              serial.value()[i - 1].update.finished)
+        << "update " << i;
+
+  config.controller.shards = 4;
+  config.controller.partition = topo::PartitionScheme::kBlock;
+  const Result<std::vector<ExecutionResult>> sharded =
+      execute_queue(w.instance_ptrs, w.schedule_ptrs, config);
+  ASSERT_FALSE(sharded.ok());
+  EXPECT_EQ(sharded.error().code, Errc::kInvalidArgument);
+  EXPECT_TRUE(execute(w.instances[0], w.schedules[0], config).ok());
 }
 
 TEST(MultiFlowExecutionTest, RejectsMismatchedInputs) {

@@ -65,18 +65,18 @@ TEST(RestParseTest, ControllerKnobsParsedAndApplied) {
   const Result<RestUpdateMessage> parsed = parse_update_message(
       R"({"oldpath": [1, 2], "newpath": [1, 2],
           "admission": "conflict_aware", "max_in_flight": 16,
-          "batch_frames": true})");
+          "batch_mode": "instant"})");
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
   EXPECT_EQ(parsed.value().admission,
             controller::AdmissionPolicy::kConflictAware);
   EXPECT_EQ(parsed.value().max_in_flight, 16u);
-  EXPECT_EQ(parsed.value().batch_frames, true);
+  EXPECT_EQ(parsed.value().batch_mode, controller::BatchMode::kInstant);
 
   controller::ControllerConfig config;
   apply_controller_overrides(parsed.value(), config);
   EXPECT_EQ(config.admission, controller::AdmissionPolicy::kConflictAware);
   EXPECT_EQ(config.max_in_flight, 16u);
-  EXPECT_TRUE(config.batch_frames);
+  EXPECT_EQ(config.batch_mode, controller::BatchMode::kInstant);
 
   // Absent knobs leave the config alone.
   const Result<RestUpdateMessage> plain =
@@ -105,18 +105,15 @@ TEST(RestParseTest, BatchingKnobsParsedAndApplied) {
   EXPECT_EQ(config.batch_mode, controller::BatchMode::kAdaptive);
   EXPECT_EQ(config.batch_window, sim::microseconds(250));
   EXPECT_EQ(config.batch_bytes, 4096u);
-  EXPECT_EQ(controller::effective_batch_mode(config),
-            controller::BatchMode::kAdaptive);
 
-  // An explicit "off" header overrides a server-side legacy batch_frames.
+  // An explicit "off" header overrides a server-side batch mode.
   const Result<RestUpdateMessage> off = parse_update_message(
       R"({"oldpath": [1, 2], "newpath": [1, 2], "batch_mode": "off"})");
   ASSERT_TRUE(off.ok());
-  controller::ControllerConfig legacy;
-  legacy.batch_frames = true;
-  apply_controller_overrides(off.value(), legacy);
-  EXPECT_EQ(controller::effective_batch_mode(legacy),
-            controller::BatchMode::kOff);
+  controller::ControllerConfig batched;
+  batched.batch_mode = controller::BatchMode::kInstant;
+  apply_controller_overrides(off.value(), batched);
+  EXPECT_EQ(batched.batch_mode, controller::BatchMode::kOff);
 }
 
 TEST(RestParseTest, RejectsBadControllerKnobs) {
@@ -129,7 +126,7 @@ TEST(RestParseTest, RejectsBadControllerKnobs) {
                    .ok());
   EXPECT_FALSE(parse_update_message(
                    R"({"oldpath": [1], "newpath": [1],
-                       "batch_frames": "yes"})")
+                       "batch_frames": true})")
                    .ok());
   EXPECT_FALSE(parse_update_message(
                    R"({"oldpath": [1], "newpath": [1],
@@ -292,7 +289,6 @@ TEST(RestRoundTripTest, ControllerKnobsSurviveRoundTrip) {
   message.new_path = {1, 2};
   message.admission = controller::AdmissionPolicy::kSerialize;
   message.max_in_flight = 8;
-  message.batch_frames = false;
   message.batch_mode = controller::BatchMode::kWindow;
   message.batch_window_ms = 0.5;
   message.batch_bytes = 2048;
@@ -306,7 +302,6 @@ TEST(RestRoundTripTest, ControllerKnobsSurviveRoundTrip) {
   ASSERT_TRUE(back.ok()) << to_json(message);
   EXPECT_EQ(back.value().admission, controller::AdmissionPolicy::kSerialize);
   EXPECT_EQ(back.value().max_in_flight, 8u);
-  EXPECT_EQ(back.value().batch_frames, false);
   EXPECT_EQ(back.value().batch_mode, controller::BatchMode::kWindow);
   EXPECT_DOUBLE_EQ(*back.value().batch_window_ms, 0.5);
   EXPECT_EQ(back.value().batch_bytes, 2048u);

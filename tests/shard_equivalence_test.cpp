@@ -600,8 +600,8 @@ TEST(ShardEquivalenceTest, SpeculationUnderChaosStaysSafeAndBitIdentical) {
 TEST(ShardEquivalenceTest, CrossShardFlowLivenessSweep500Seeds) {
   // Flows spanning shard boundaries under tight per-shard capacity: 500
   // seeds, every admission policy and release granularity, shards 2..5.
-  // run_engine fails ("simulation drained before all updates completed")
-  // on any deadlock, so completion is the liveness proof.
+  // The engine fails ("simulation drained with work outstanding") on any
+  // deadlock, so completion is the liveness proof.
   std::size_t cross_updates_seen = 0;
   for (std::uint64_t seed = 1; seed <= kLivenessSeeds; ++seed) {
     Rng rng(seed);
