@@ -30,8 +30,6 @@
 #include "tsu/core/service.hpp"
 #include "tsu/json/json.hpp"
 #include "tsu/sim/faults.hpp"
-#include "tsu/sim/sharded.hpp"
-#include "tsu/sim/thread_pool.hpp"
 #include "tsu/util/alloc_hooks.hpp"
 #include "tsu/topo/instances.hpp"
 #include "tsu/update/optimizer.hpp"
@@ -70,116 +68,6 @@ std::vector<update::Instance> make_policies(Rng& rng, std::size_t k,
         std::move(update::Instance::make(old_path, new_path)).value());
   }
   return policies;
-}
-
-// Self-perpetuating shard-local work for the parallel-epoch hotpath
-// measurement: one event chain per shard keeps every shard eligible, so
-// run_parallel dispatches epochs through the worker pool the whole run.
-struct Ticker {
-  sim::Simulator* shard = nullptr;
-  std::uint64_t remaining = 0;
-  std::uint64_t fired = 0;
-
-  void tick() {
-    ++fired;
-    if (remaining == 0) return;
-    --remaining;
-    shard->schedule(7, [this]() { tick(); }, sim::EventScope::kLocal);
-  }
-};
-
-// A packet-like hand-off bouncing between two shards through the SPSC
-// mailbox rings.
-struct Bouncer {
-  sim::ShardedSim* group = nullptr;
-  std::uint64_t remaining = 0;
-  std::uint64_t bounces = 0;
-
-  void bounce(std::size_t at) {
-    ++bounces;
-    if (remaining == 0) return;
-    --remaining;
-    const std::size_t to = 1 - at;
-    group->post(to, at, group->shard(at).now() + 10,
-                [this, to]() { bounce(to); });
-  }
-};
-
-// Steady-state cost of a parallel epoch: two shards of self-perpetuating
-// local chains plus a cross-shard bounce stream through the SPSC rings,
-// warmed once (pool lanes, epoch scratch, event arenas, ring first-touch)
-// and then measured - wall ns/event and allocations in the window. The
-// *_steady_allocs figure is expected to be zero (the hard gate is
-// tests/hotpath_alloc_test.cpp; the JSON baseline keeps CI honest).
-json::Object hotpath_bench() {
-  constexpr std::uint64_t kTicks = 200000;    // per shard
-  constexpr std::uint64_t kBounces = 20000;   // cross-shard ring posts
-  const std::uint64_t setup_begin = alloc_hooks::allocations();
-  sim::ShardedSim group(2);
-  sim::ThreadPool thread_pool(2);
-  const sim::Duration lookahead = 10;  // lower-bounds the bounce post delay
-
-  Ticker tickers[2] = {{&group.shard(0), kTicks}, {&group.shard(1), kTicks}};
-  Bouncer bouncer{&group, kBounces};
-  const auto kick = [&]() {
-    group.schedule_on(0, 5, [&]() { tickers[0].tick(); },
-                      sim::EventScope::kLocal);
-    group.schedule_on(1, 5, [&]() { tickers[1].tick(); },
-                      sim::EventScope::kLocal);
-    group.schedule_on(0, 5, [&]() { bouncer.bounce(0); },
-                      sim::EventScope::kLocal);
-  };
-  kick();
-  group.run_parallel(thread_pool, lookahead);  // warmup run pays first-touch
-  // Everything before this line is setup: construction, pool lanes, event
-  // arenas, ring first-touch. The watermark splits the allocation count
-  // into a paid-once setup figure and the (zero) steady-state figure.
-  alloc_hooks::mark_setup_complete();
-  const std::uint64_t setup_allocs =
-      alloc_hooks::setup_allocations() - setup_begin;
-
-  tickers[0].remaining = kTicks;
-  tickers[1].remaining = kTicks;
-  bouncer.remaining = kBounces;
-  kick();
-  const std::uint64_t events = 2 * kTicks + kBounces + 3;
-  const std::uint64_t before = alloc_hooks::allocations();
-  const auto start = std::chrono::steady_clock::now();
-  group.run_parallel(thread_pool, lookahead);
-  const auto stop = std::chrono::steady_clock::now();
-  const std::uint64_t steady_allocs = alloc_hooks::allocations() - before;
-  const double ns_per_event =
-      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              stop - start)
-                              .count()) /
-      static_cast<double>(events);
-
-  std::printf("\nparallel-epoch hotpath (2 shards, %llu local events + %llu "
-              "ring posts):\n  %s ns/event, %llu allocations in the "
-              "measurement window (%llu during setup)\n",
-              static_cast<unsigned long long>(2 * kTicks),
-              static_cast<unsigned long long>(kBounces),
-              bench::fmt(ns_per_event).c_str(),
-              static_cast<unsigned long long>(steady_allocs),
-              static_cast<unsigned long long>(setup_allocs));
-  if (group.overflow_posts() != 0)
-    std::fprintf(stderr, "bounce stream overflowed the SPSC rings - the "
-                         "measurement includes mutex fallbacks\n");
-
-  json::Object hotpath;
-  json::Object entry;
-  entry.set("events", json::Value(static_cast<std::int64_t>(events)));
-  entry.set("ns_per_event", json::Value(ns_per_event));
-  entry.set("steady_allocs",
-            json::Value(static_cast<std::int64_t>(steady_allocs)));
-  // Setup-phase allocations (informational, not gated): the paid-once cost
-  // the alloc_hooks watermark separates from the steady state.
-  entry.set("setup_allocs",
-            json::Value(static_cast<std::int64_t>(setup_allocs)));
-  entry.set("ring_overflows",
-            json::Value(static_cast<std::int64_t>(group.overflow_posts())));
-  hotpath.set("parallel_epoch", json::Value(std::move(entry)));
-  return hotpath;
 }
 
 // The compile-once submission path (controller/plan_cache.hpp): cold
@@ -734,181 +622,6 @@ bool run(const char* json_path) {
   }
   bench::print_table(shard_table);
 
-  // Parallel execution wall-clock: the 1000-flow pool with live traffic
-  // (the data plane is where the parallelizable work lives), greedy-cut
-  // partitioned so shards stay independent, sequential vs parallel at
-  // 1/2/4/8 shards. Simulated results are bit-identical by construction
-  // (the equivalence suite pins it; the digest check here guards the
-  // bench itself) - the only thing allowed to move is wall-clock time,
-  // recorded into the CI JSON so BENCH_*.json carries a perf trajectory.
-  // NOTE: the speedup column only means something with >= shards hardware
-  // threads; hardware_threads is recorded alongside for that reason.
-  bool parallel_failed = false;
-  std::printf("\nparallel stepping: %zu flows over %zu switches "
-              "(greedy_cut partition, live traffic), %zu hardware threads:\n",
-              kBatchFlows, kBatchSwitches,
-              sim::ThreadPool::hardware_threads());
-  stats::Table parallel_table({"shards", "partition", "exec", "opt",
-                               "wall ms", "speedup", "epochs", "stalls",
-                               "serial frac", "steals", "skips",
-                               "makespan ms"});
-  json::Array parallel_json;
-  // Each group runs three modes: the sequential reference (speculation +
-  // stealing knobs ON, so the optimized parallel run is its bit-identical
-  // twin), the plain parallel stepper (opt off - the pre-optimization
-  // engine), and the optimized parallel stepper. The greedy_cut groups
-  // measure the shard-local regime (most epochs, stealing territory); the
-  // hash group - nearly every update cross-shard, nonzero inter-round
-  // interval - measures the serial bottleneck regime, where speculative
-  // round release elides interval timers and local-scope barrier replies
-  // remove sync points. serial_fraction = horizon stalls / total events is
-  // the gated figure (tools/check_bench_regression.py).
-  struct ParallelGroup {
-    std::size_t shards;
-    topo::PartitionScheme partition;
-    sim::Duration interval;
-  };
-  std::vector<ParallelGroup> groups;
-  for (const std::size_t shards : {1u, 2u, 4u, 8u})
-    groups.push_back({shards, topo::PartitionScheme::kGreedyCut, 0});
-  groups.push_back({4, topo::PartitionScheme::kHash, sim::microseconds(300)});
-  for (const ParallelGroup& group : groups) {
-    double sequential_wall_ms = 0;
-    std::uint64_t sequential_digest = 0;
-    struct Mode {
-      sim::ExecMode exec;
-      bool optimized;
-    };
-    constexpr Mode kModes[] = {{sim::ExecMode::kSequential, true},
-                               {sim::ExecMode::kParallel, false},
-                               {sim::ExecMode::kParallel, true}};
-    for (const Mode mode : kModes) {
-      core::ExecutorConfig config;
-      config.seed = 4242;
-      config.interval = group.interval;
-      config.channel.latency =
-          sim::LatencyModel::constant(sim::microseconds(100));
-      config.switch_config.install_latency =
-          sim::LatencyModel::constant(sim::microseconds(50));
-      config.switch_config.batch_replies = true;
-      config.traffic_interarrival =
-          sim::LatencyModel::constant(sim::microseconds(400));
-      config.link_latency = sim::LatencyModel::constant(sim::microseconds(20));
-      config.warmup = sim::milliseconds(2);
-      config.drain = sim::milliseconds(10);
-      config.controller.max_in_flight = kBatchFlows;
-      config.controller.admission =
-          controller::AdmissionPolicy::kConflictAware;
-      config.controller.batch_mode = controller::BatchMode::kAdaptive;
-      config.controller.batch_window = sim::microseconds(300);
-      config.controller.shards = group.shards;
-      config.controller.partition = group.partition;
-      config.controller.exec = mode.exec;
-      config.controller.threads = group.shards;
-      config.controller.speculate = mode.optimized;
-      config.controller.steal = mode.optimized;
-      const std::uint64_t allocs_before = alloc_hooks::allocations();
-      const Result<core::MultiFlowExecutionResult> run =
-          core::execute_multiflow(batch_pool.instance_ptrs,
-                                  batch_pool.schedule_ptrs, config);
-      const std::uint64_t run_allocs =
-          alloc_hooks::allocations() - allocs_before;
-      if (!run.ok()) {
-        std::fprintf(stderr, "parallel bench failed for %zu shards %s: %s\n",
-                     group.shards, sim::to_string(mode.exec),
-                     run.error().to_string().c_str());
-        parallel_failed = true;
-        continue;
-      }
-      const core::MultiFlowExecutionResult& result = run.value();
-      if (mode.exec == sim::ExecMode::kSequential) {
-        sequential_wall_ms = result.sharding.wall_ms;
-        sequential_digest = result.final_state_digest;
-      } else if (result.final_state_digest != sequential_digest) {
-        std::fprintf(stderr,
-                     "parallel digest diverged at %zu shards - BENCH BUG\n",
-                     group.shards);
-        parallel_failed = true;
-      }
-      std::size_t total_events = 0;
-      for (const std::size_t n : result.sharding.events_per_shard)
-        total_events += n;
-      const double serial_fraction =
-          total_events == 0
-              ? 0.0
-              : static_cast<double>(result.sharding.horizon_stalls) /
-                    static_cast<double>(total_events);
-      const double speedup =
-          mode.exec == sim::ExecMode::kSequential ||
-                  result.sharding.wall_ms <= 0
-              ? 1.0
-              : sequential_wall_ms / result.sharding.wall_ms;
-      const bool parallel = mode.exec == sim::ExecMode::kParallel;
-      parallel_table.add_row(
-          {std::to_string(group.shards), topo::to_string(group.partition),
-           sim::to_string(mode.exec), mode.optimized ? "on" : "off",
-           bench::fmt(result.sharding.wall_ms),
-           parallel ? bench::fmt(speedup) : "-",
-           std::to_string(result.sharding.parallel_epochs),
-           std::to_string(result.sharding.horizon_stalls),
-           parallel ? bench::fmt(serial_fraction) : "-",
-           std::to_string(result.sharding.steals),
-           std::to_string(result.sharding.speculative_releases),
-           bench::fmt(result.makespan_ms())});
-      json::Object entry;
-      entry.set("shards",
-                json::Value(static_cast<std::int64_t>(group.shards)));
-      entry.set("exec", json::Value(sim::to_string(mode.exec)));
-      entry.set("threads", json::Value(static_cast<std::int64_t>(
-                               result.sharding.threads)));
-      entry.set("hardware_threads",
-                json::Value(static_cast<std::int64_t>(
-                    sim::ThreadPool::hardware_threads())));
-      // Fewer cores than shards means the speedup column measures
-      // oversubscription, not the stepper - flagged so downstream tooling
-      // can skip speedup comparisons on starved machines.
-      entry.set("cores_limited",
-                json::Value(sim::ThreadPool::hardware_threads() <
-                            group.shards));
-      entry.set("partition", json::Value(topo::to_string(group.partition)));
-      entry.set("speculate", json::Value(mode.optimized));
-      entry.set("steal", json::Value(mode.optimized));
-      entry.set("wall_ms", json::Value(result.sharding.wall_ms));
-      if (parallel) entry.set("speedup_vs_sequential", json::Value(speedup));
-      entry.set("parallel_epochs", json::Value(static_cast<std::int64_t>(
-                                       result.sharding.parallel_epochs)));
-      entry.set("horizon_stalls", json::Value(static_cast<std::int64_t>(
-                                      result.sharding.horizon_stalls)));
-      // The gated serial-health figures are parallel-only: a sequential
-      // merge has no waves, so stalls/steals are structurally zero there.
-      if (parallel) {
-        entry.set("serial_fraction", json::Value(serial_fraction));
-        entry.set("steals", json::Value(static_cast<std::int64_t>(
-                                result.sharding.steals)));
-        entry.set("overflow_posts",
-                  json::Value(static_cast<std::int64_t>(
-                      result.sharding.overflow_posts)));
-      }
-      entry.set("speculative_releases",
-                json::Value(static_cast<std::int64_t>(
-                    result.sharding.speculative_releases)));
-      entry.set("partition_cut_weight",
-                json::Value(static_cast<std::int64_t>(
-                    result.sharding.partition_cut_weight)));
-      entry.set("makespan_ms", json::Value(result.makespan_ms()));
-      entry.set("packets", json::Value(static_cast<std::int64_t>(
-                               result.aggregate.total)));
-      // Whole-run allocation count (setup + warmup + steady state): the
-      // per-PR trajectory of how much the run touches the allocator. The
-      // hard zero-allocation gate lives in the hotpath section below -
-      // this figure is informational.
-      entry.set("allocations",
-                json::Value(static_cast<std::int64_t>(run_allocs)));
-      parallel_json.push_back(json::Value(std::move(entry)));
-    }
-  }
-  bench::print_table(parallel_table);
-
   // Fault recovery: seeded chaos schedules (sim/faults.hpp) against the
   // admission pool, once per failure response. Tracked per PR: recovery
   // latency percentiles, resync traffic, rollback counts and the makespan
@@ -1119,8 +832,6 @@ bool run(const char* json_path) {
   bool submission_failed = false;
   json::Object submission_path = submission_path_bench(&submission_failed);
 
-  json::Object hotpath = hotpath_bench();
-
   if (json_path != nullptr) {
     json::Object doc;
     doc.set("bench",
@@ -1128,11 +839,9 @@ bool run(const char* json_path) {
     doc.set("results", json::Value(std::move(admission_json)));
     doc.set("batching", json::Value(std::move(batching_json)));
     doc.set("sharding", json::Value(std::move(sharding_json)));
-    doc.set("parallel", json::Value(std::move(parallel_json)));
     doc.set("faults", json::Value(std::move(faults_json)));
     doc.set("open_loop", json::Value(std::move(open_loop_json)));
     doc.set("submission_path", json::Value(std::move(submission_path)));
-    doc.set("hotpath", json::Value(std::move(hotpath)));
     std::ofstream out(json_path);
     out << json::write(json::Value(std::move(doc))) << "\n";
     std::printf("admission+batching+sharding JSON written to %s\n",
@@ -1154,7 +863,7 @@ bool run(const char* json_path) {
       "(first shard done -> last shard done) over all concurrent updates,\n"
       "i.e. the slack the two-phase barrier absorbs off the critical path.\n");
   return !admission_failed && !batching_failed && !sharding_failed &&
-         !parallel_failed && !faults_failed && !open_loop_failed &&
+         !faults_failed && !open_loop_failed &&
          !submission_failed;
 }
 

@@ -50,8 +50,6 @@ void usage() {
                "               [--batch-replies]\n"
                "               [--shards N]\n"
                "               [--partition hash|block|greedy_cut]\n"
-               "               [--exec sequential|parallel] [--threads N]\n"
-               "               [--speculate] [--steal]\n"
                "               [--faults FILE.json] [--liveness-ms MS]\n"
                "               [--failure-response wait|rollback]\n"
                "               [--serve] [--rate R] [--duration-ms MS]\n"
@@ -72,14 +70,7 @@ void usage() {
                "  ranges shard-local, greedy_cut packs switches that share\n"
                "  updates onto one shard to minimize the cross-shard cut);\n"
                "  cross-shard updates synchronize round-by-round through\n"
-               "  the shard coordinator. --exec parallel steps independent\n"
-               "  shards on --threads workers (0 = auto) between safe\n"
-               "  horizons - bit-identical results, less wall-clock\n"
-               "  --speculate releases round barriers speculatively for\n"
-               "  updates the admission DAG proves conflict-free and lets\n"
-               "  barrier replies process mid-epoch (needs conflict_aware);\n"
-               "  --steal launches each wave's epochs longest-first so idle\n"
-               "  lanes pick up the heaviest shard backlog\n"
+               "  the shard coordinator\n"
                "  --admission-release round frees a request's conflict\n"
                "  footprint per completed round instead of at completion\n"
                "  --faults replays a serialized FaultSchedule (switch\n"
@@ -123,10 +114,9 @@ int run_multiflow(std::size_t flows, std::size_t switches,
               controller::to_string(config.controller.batch_mode),
               sim::to_ms(config.controller.batch_window),
               config.controller.batch_bytes);
-  std::printf("shards   : %zu (%s partition, %s exec)%s\n",
+  std::printf("shards   : %zu (%s partition)%s\n",
               config.controller.shards,
               topo::to_string(config.controller.partition),
-              sim::to_string(config.controller.exec),
               config.switch_config.batch_replies ? ", reply batching on"
                                                  : "");
 
@@ -158,15 +148,6 @@ int run_multiflow(std::size_t flows, std::size_t switches,
                 result.sharding.rounds_synced,
                 result.sharding.sync_overhead_ms(),
                 result.sharding.partition_cut_weight);
-    if (result.sharding.exec == sim::ExecMode::kParallel)
-      std::printf("parallel : %zu epochs, %zu horizon stalls, %zu threads, "
-                  "%zu speculative releases, %zu steals, "
-                  "%zu overflow posts, %.1f ms wall\n",
-                  result.sharding.parallel_epochs,
-                  result.sharding.horizon_stalls, result.sharding.threads,
-                  result.sharding.speculative_releases,
-                  result.sharding.steals, result.sharding.overflow_posts,
-                  result.sharding.wall_ms);
   }
   std::printf("traffic  : %zu packets, %zu bypassed, %zu looped, "
               "%zu blackholed\n",
@@ -246,10 +227,6 @@ int main(int argc, char** argv) {
   bool batch_replies_flag = false;
   std::optional<std::size_t> shards_flag;
   std::optional<topo::PartitionScheme> partition_flag;
-  std::optional<sim::ExecMode> exec_flag;
-  std::optional<std::size_t> threads_flag;
-  bool speculate_flag = false;
-  bool steal_flag = false;
   std::optional<sim::FaultSchedule> faults_flag;
   std::optional<double> liveness_ms_flag;
   std::optional<controller::FailureResponse> failure_response_flag;
@@ -380,21 +357,6 @@ int main(int argc, char** argv) {
           v != nullptr ? topo::partition_scheme_from_string(v) : std::nullopt;
       if (!scheme.has_value()) return usage(), 1;
       partition_flag = *scheme;
-    } else if (arg == "--exec") {
-      const char* v = next();
-      const auto mode =
-          v != nullptr ? sim::exec_mode_from_string(v) : std::nullopt;
-      if (!mode.has_value()) return usage(), 1;
-      exec_flag = *mode;
-    } else if (arg == "--threads") {
-      const char* v = next();
-      const auto n = v != nullptr ? parse_int(v) : std::nullopt;
-      if (!n.has_value() || *n < 0) return usage(), 1;
-      threads_flag = static_cast<std::size_t>(*n);
-    } else if (arg == "--speculate") {
-      speculate_flag = true;
-    } else if (arg == "--steal") {
-      steal_flag = true;
     } else if (arg == "--faults") {
       const char* v = next();
       if (v == nullptr) return usage(), 1;
@@ -484,10 +446,6 @@ int main(int argc, char** argv) {
   if (shards_flag.has_value()) config.controller.shards = *shards_flag;
   if (partition_flag.has_value())
     config.controller.partition = *partition_flag;
-  if (exec_flag.has_value()) config.controller.exec = *exec_flag;
-  if (threads_flag.has_value()) config.controller.threads = *threads_flag;
-  if (speculate_flag) config.controller.speculate = true;
-  if (steal_flag) config.controller.steal = true;
   if (plan_cache_flag.has_value())
     config.controller.plan_cache = *plan_cache_flag;
   if (faults_flag.has_value()) config.faults = std::move(*faults_flag);

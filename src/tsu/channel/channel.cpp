@@ -107,8 +107,7 @@ void ControlChannel::transmit(std::vector<std::byte>&& frame,
         // The decoded Message owns every byte it keeps (Echo copies its
         // payload), so the wire buffer can be recycled immediately.
         release_frame(std::move(frame));
-      },
-      delivery_scope_);
+      });
 }
 
 }  // namespace tsu::channel

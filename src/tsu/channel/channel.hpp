@@ -45,16 +45,6 @@ class ControlChannel {
 
   void set_receiver(DeliverFn receiver) { receiver_ = std::move(receiver); }
 
-  // Scope of the delivery events this channel schedules (see
-  // sim/event_queue.hpp). The executor marks the controller->switch
-  // direction kLocal - switch, channel and owning controller shard live on
-  // one shard - while switch->controller deliveries stay kShared: reply
-  // processing can complete updates and cross shards through the
-  // coordinator, so it must run at a sync point.
-  void set_delivery_scope(sim::EventScope scope) noexcept {
-    delivery_scope_ = scope;
-  }
-
   // Enqueues `message` for delivery to the receiver side.
   void send(const proto::Message& message);
 
@@ -121,7 +111,6 @@ class ControlChannel {
   ChannelConfig config_;
   Rng rng_;
   DeliverFn receiver_;
-  sim::EventScope delivery_scope_ = sim::EventScope::kShared;
   sim::SimTime last_delivery_ = 0;
 
   // Fault state: down flag, link-session epoch (bumped on every up/down

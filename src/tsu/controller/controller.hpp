@@ -169,28 +169,8 @@ struct ControllerConfig {
   // controller, bit-identical to the pre-sharding engine.
   std::size_t shards = 1;
   topo::PartitionScheme partition = topo::PartitionScheme::kHash;
-  // How the sharded clock steps (sim/sharded.hpp): the sequential merger,
-  // or parallel epochs on a worker pool between safe horizons. Parallel
-  // mode is digest- and oracle-identical to sequential for every seed (the
-  // equivalence matrix pins it); it only changes wall-clock time.
+  // Always sequential; kept only because perfbench/ assigns this field.
   sim::ExecMode exec = sim::ExecMode::kSequential;
-  // Worker threads for exec = parallel; 0 picks
-  // min(shards, hardware threads).
-  std::size_t threads = 0;
-  // Speculative round barriers for cross-shard updates (shard.hpp): a
-  // sub-request whose footprint the admission DAG proves disjoint from
-  // everything live confirms empty rounds without the pacing interval, and
-  // barrier replies are processed shard-locally mid-epoch (round/resync
-  // completion deferred to the next sync point) instead of stalling the
-  // parallel engine. Requires admission = conflict_aware to ever speculate;
-  // identical event schedules in both exec modes, so the seq/par
-  // equivalence guarantee is preserved. Changes timing versus
-  // speculate = false (rounds confirm earlier), hence off by default.
-  bool speculate = false;
-  // exec = parallel: launch each wave's shard epochs longest-first so idle
-  // pool lanes pick up the heaviest backlog (sharded.hpp set_steal).
-  // Deterministic and digest-neutral; purely a wall-clock knob.
-  bool steal = false;
   // --- fault tolerance (sim/faults.hpp) ---------------------------------
   // Per-switch liveness timeout on outstanding barriers. 0 disables fault
   // handling entirely - no timers, no shadow tables, no resync - keeping
@@ -412,23 +392,10 @@ class Controller {
   // participating shard is admissible AND has a free slot, and then starts
   // all of them in the same instant - atomic capacity acquisition, so two
   // cross-shard updates can never deadlock on partially grabbed slots.
-  // `speculative` marks a DAG-proven-disjoint update (every shard's slice
-  // uncontended at start) eligible for speculative round release.
-  void start_coordinated(std::uint64_t token, bool speculative = false);
+  void start_coordinated(std::uint64_t token);
   // Releases the two-phase round barrier: starts the sub-request's next
-  // round (after the request's inter-round interval). A speculative
-  // sub-request whose next round is EMPTY skips the interval and confirms
-  // synchronously - an empty round installs nothing, so pacing it serves
-  // nothing, and each skip removes one interval-timer event (a guaranteed
-  // horizon stall under the parallel engine).
+  // round (after the request's inter-round interval).
   void release_round(std::uint64_t token);
-  // True while `token` is live here and carries no conflict edge in this
-  // shard's admission DAG slice - the coordinator's speculation gate.
-  bool coordinated_uncontended(std::uint64_t token) const noexcept;
-  // Interval skips taken by speculative round releases.
-  std::size_t speculative_releases() const noexcept {
-    return speculative_releases_;
-  }
 
  private:
   using UpdateId = std::uint64_t;
@@ -444,8 +411,6 @@ class Controller {
     std::shared_ptr<const CompiledPlan> plan;
     // Coordinated sub-request: held until the ShardCoordinator starts it.
     bool held = false;
-    // Set at start_coordinated when the whole update is DAG-disjoint.
-    bool speculative = false;
     std::uint64_t token = 0;
   };
 
@@ -461,8 +426,6 @@ class Controller {
     std::size_t waiting = 0;
     // Cross-shard sub-request: rounds gated by the coordinator.
     bool coordinated = false;
-    // DAG-proven disjoint at start: empty rounds release speculatively.
-    bool speculative = false;
     std::uint64_t token = 0;
     // Controller-originated unwind of a rolled-back update: bypasses
     // admission (the aborted update's footprint still covers its rules)
@@ -641,7 +604,6 @@ class Controller {
   std::unordered_map<Xid, sim::EventId> liveness_timers_;
   UpdateId update_counter_ = 1;
   std::size_t max_in_flight_observed_ = 0;
-  std::size_t speculative_releases_ = 0;
   std::size_t messages_coalesced_ = 0;
   std::size_t batches_sent_ = 0;
   std::size_t timer_flushes_ = 0;

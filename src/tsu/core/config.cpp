@@ -227,28 +227,6 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
                           "unknown partition scheme '" + field.as_string() +
                               "' (hash | block | greedy_cut)");
       config.controller.partition = *scheme;
-    } else if (key == "exec") {
-      if (!field.is_string())
-        return make_error(Errc::kParseError, "'exec' must be a string");
-      const std::optional<sim::ExecMode> mode =
-          sim::exec_mode_from_string(field.as_string());
-      if (!mode.has_value())
-        return make_error(Errc::kParseError,
-                          "unknown exec mode '" + field.as_string() +
-                              "' (sequential | parallel)");
-      config.controller.exec = *mode;
-    } else if (key == "threads") {
-      if (!field.is_number() || field.as_int() < 0)
-        return make_error(Errc::kOutOfRange, "'threads' must be >= 0");
-      config.controller.threads = static_cast<std::size_t>(field.as_int());
-    } else if (key == "speculate") {
-      if (!field.is_bool())
-        return make_error(Errc::kParseError, "'speculate' must be a bool");
-      config.controller.speculate = field.as_bool();
-    } else if (key == "steal") {
-      if (!field.is_bool())
-        return make_error(Errc::kParseError, "'steal' must be a bool");
-      config.controller.steal = field.as_bool();
     } else if (key == "flow") {
       if (!field.is_number() || field.as_int() < 0)
         return make_error(Errc::kParseError, "'flow' must be >= 0");
@@ -414,11 +392,6 @@ json::Value config_to_json(const ExecutorConfig& config) {
                          config.controller.shards)));
   root.set("partition",
            json::Value(topo::to_string(config.controller.partition)));
-  root.set("exec", json::Value(sim::to_string(config.controller.exec)));
-  root.set("threads", json::Value(static_cast<std::int64_t>(
-                          config.controller.threads)));
-  root.set("speculate", json::Value(config.controller.speculate));
-  root.set("steal", json::Value(config.controller.steal));
   root.set("flow", json::Value(static_cast<std::int64_t>(config.flow)));
   root.set("priority",
            json::Value(static_cast<std::int64_t>(config.priority)));

@@ -17,7 +17,6 @@
 //   "admission_release": "request" | "round",
 //   "plan_cache": "on" | "off",
 //   "shards": 1, "partition": "hash" | "block" | "greedy_cut",
-//   "exec": "sequential" | "parallel", "threads": 0,
 //   "flow": 1, "priority": 100, "interval_ms": 0,
 //   "liveness_timeout_ms": 0, "failure_response": "wait" | "rollback",
 //   "retry_backoff_ms": 0, "resubmit": true,

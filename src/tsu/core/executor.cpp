@@ -15,7 +15,6 @@
 #include "tsu/core/service.hpp"
 #include "tsu/sim/sharded.hpp"
 #include "tsu/sim/simulator.hpp"
-#include "tsu/sim/thread_pool.hpp"
 #include "tsu/topo/instances.hpp"
 #include "tsu/topo/partition.hpp"
 #include "tsu/update/schedulers.hpp"
@@ -86,19 +85,6 @@ std::vector<topo::SwitchAffinity> affinity_edges(
   return edges;
 }
 
-// The lower bound on any cross-shard interaction a kLocal event can
-// create: switch replies mature one channel latency after the send, and a
-// packet's next hop one link latency after the current one. The parallel
-// stepper widens its epochs to exactly this bound (sim/sharded.hpp);
-// unbounded-below latency models collapse it to 0, which degenerates to
-// sequential stepping - correct, just not concurrent.
-sim::Duration cross_shard_lookahead(const ExecutorConfig& config) {
-  sim::Duration lookahead = config.channel.latency.min_delay();
-  if (config.with_traffic)
-    lookahead = std::min(lookahead, config.link_latency.min_delay());
-  return lookahead;
-}
-
 struct Engine;
 
 // What a run submits, and when. Engine::run calls wire() before traffic
@@ -147,9 +133,7 @@ struct Engine {
   // Fault bookkeeping the injected events update.
   sim::FaultStats fault_stats;
   std::vector<sim::SimTime> down_at;
-  // uint8_t, not bool: neighbouring vector<bool> bits share a byte, which
-  // TSan would flag if fault handlers ever ran on different shards' lanes.
-  std::vector<std::uint8_t> is_down;
+  std::vector<bool> is_down;
 
   Engine(ExecutorConfig run_config, topo::SwitchPartition switch_partition,
          sim::Duration timeline_bucket)
@@ -158,7 +142,6 @@ struct Engine {
         rng(config.seed),
         partition(std::move(switch_partition)),
         monitors(timeline_bucket) {
-    sim.set_steal(config.controller.steal);
     arenas.reserve(sim.shard_count());
     for (std::size_t s = 0; s < sim.shard_count(); ++s)
       arenas.push_back(std::make_unique<util::SetupArena>());
@@ -240,17 +223,6 @@ struct Engine {
         arena.make<channel::DuplexChannel>(shard_sim, config.channel, rng);
     controller::ShardCoordinator* ctrl_ptr = ctrl.get();
 
-    // Controller->switch deliveries stay on the switch's own shard and
-    // only touch its state: safe inside parallel epochs. The reply
-    // direction keeps the kShared default - reply processing can complete
-    // updates and cross shards through the coordinator - UNLESS the
-    // controller speculates: then the engine defers round/resync
-    // completion to the next sync point (controller.cpp), every other
-    // effect of a reply is provably shard-local, and replies may process
-    // mid-epoch too, eliminating the biggest class of horizon stalls.
-    duplex_ptr->to_switch.set_delivery_scope(sim::EventScope::kLocal);
-    if (config.controller.speculate)
-      duplex_ptr->to_controller.set_delivery_scope(sim::EventScope::kLocal);
     duplex_ptr->to_switch.set_receiver(
         [sw_ptr](const proto::Message& m) { sw_ptr->receive(m); });
     duplex_ptr->to_controller.set_receiver(
@@ -328,7 +300,7 @@ struct Engine {
         return make_error(Errc::kInvalidArgument,
                           "fault schedule targets an unknown switch");
     down_at.assign(switches.size(), 0);
-    is_down.assign(switches.size(), 0);
+    is_down.assign(switches.size(), false);
     // A barrier-confirmed resync returns the switch to service (its tables
     // provably match the shadow again) and clocks the recovery.
     ctrl->set_on_switch_resynced([this](NodeId node) {
@@ -406,7 +378,7 @@ struct Engine {
       traffic.stop = std::numeric_limits<sim::SimTime>::max();
       // A flow's injection lives on its ingress switch's shard queue; hops
       // then follow the packet onto whichever shard owns each switch, with
-      // cross-shard hand-offs through the group mailboxes (traffic.hpp).
+      // cross-shard hand-offs through ShardedSim::post (traffic.hpp).
       sources.push_back(std::make_unique<dataplane::TrafficSource>(
           sim, partition, switches, traffic, rng.fork(), *monitor_of.back()));
     }
@@ -419,29 +391,15 @@ struct Engine {
     for (auto& source : sources) source->set_stop(sim.now() + drain);
   }
 
-  // Starts traffic between the driver's hooks, runs the clock to drain on
-  // the configured stepper, and collects the run's counters into `out`.
+  // Starts traffic between the driver's hooks, runs the clock to drain,
+  // and collects the run's counters into `out`.
   Status run(Driver& driver, RunCounters& out) {
     driver.wire(*this);
     for (auto& source : sources) source->start();
     driver.launch(*this);
 
-    const bool parallel = config.controller.exec == sim::ExecMode::kParallel;
-    // An epoch dispatches exactly shard_count tasks, so more lanes than
-    // shards would only sleep; the clamp also keeps a typo'd `threads`
-    // from asking the OS for an absurd thread count.
-    const std::size_t threads =
-        !parallel ? 1
-        : config.controller.threads != 0
-            ? std::min(config.controller.threads, sim.shard_count())
-            : std::min(sim.shard_count(), sim::ThreadPool::hardware_threads());
     const auto wall_start = std::chrono::steady_clock::now();
-    if (parallel) {
-      sim::ThreadPool pool(threads);
-      sim.run_parallel(pool, cross_shard_lookahead(config));
-    } else {
-      sim.run();
-    }
+    sim.run();
     out.sharding.wall_ms = std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - wall_start)
                                .count();
@@ -472,16 +430,9 @@ struct Engine {
     out.batching.flush_timers_cancelled = ctrl->flush_timers_cancelled();
     out.batching.max_hold = ctrl->max_hold();
     out.sharding.shards = ctrl->shard_count();
-    out.sharding.exec = config.controller.exec;
-    out.sharding.threads = threads;
     out.sharding.cross_shard_updates = ctrl->cross_shard_updates();
     out.sharding.rounds_synced = ctrl->rounds_synced();
     out.sharding.sync_overhead = ctrl->sync_overhead();
-    out.sharding.parallel_epochs = sim.parallel_epochs();
-    out.sharding.horizon_stalls = sim.horizon_stalls();
-    out.sharding.speculative_releases = ctrl->speculative_releases();
-    out.sharding.steals = sim.steals();
-    out.sharding.overflow_posts = sim.overflow_posts();
     out.sharding.events_per_shard = sim.events_per_shard();
     out.sharding.partition_cut_weight = partition_cut_weight;
     out.faults = std::move(fault_stats);
@@ -536,8 +487,7 @@ class ClosedLoop final : public Driver {
   // shard its FlowMods touch - so warmup submissions do not serialize
   // through shard 0's queue; merged order at the shared warmup instant
   // stays deterministic (shard ascending, then input order within a
-  // shard). Submission events are kShared: submitting reaches the
-  // coordinator and can start work on several shards at once.
+  // shard).
   void launch(Engine& engine) override {
     const std::size_t shards = engine.sim.shard_count();
     by_home_.resize(shards);

@@ -9,7 +9,9 @@
 // partitions the switches across config.controller.shards controller
 // shards (controller/shard.hpp) on a sharded logical clock
 // (sim/sharded.hpp), coordinating cross-shard updates round by round;
-// shards = 1 is the single controller.
+// shards = 1 is the single controller. One sequential merger steps that
+// clock on the calling thread, so a run is a pure function of its config
+// and seed.
 #pragma once
 
 #include <cstdint>
@@ -82,31 +84,15 @@ struct BatchingStats {
 // Sharding observability of one engine run (see controller/shard.hpp and
 // sim/sharded.hpp): how many updates spanned shards, what the two-phase
 // round barrier cost - the summed spread between the first and last shard
-// confirming each cross-shard round - and how the stepping engine ran:
-// epochs that stepped shards concurrently, sequential fallback steps at
-// collapsed horizons, per-shard event counts (identical across reruns of a
-// seed; the parallel determinism test pins this), the workload cut the
-// partition paid, and the wall-clock cost of the run loop (steady-clock;
-// the simulation itself never reads wall time).
+// confirming each cross-shard round - per-shard event counts (identical
+// across reruns of a seed), the workload cut the partition paid, and the
+// wall-clock cost of the run loop (steady-clock; the simulation itself
+// never reads wall time).
 struct ShardStats {
   std::size_t shards = 1;
-  sim::ExecMode exec = sim::ExecMode::kSequential;
-  std::size_t threads = 1;  // pool lanes actually used (1 when sequential)
   std::size_t cross_shard_updates = 0;
   std::size_t rounds_synced = 0;
   sim::Duration sync_overhead = 0;
-  std::size_t parallel_epochs = 0;
-  std::size_t horizon_stalls = 0;
-  // Interval skips taken by speculative round release
-  // (controller.speculate; 0 without conflict-aware admission).
-  std::size_t speculative_releases = 0;
-  // Epoch launches the work-stealing reorder promoted past a lower-indexed
-  // busy shard (controller.steal; sim/sharded.hpp).
-  std::size_t steals = 0;
-  // Cross-shard mailbox posts that found their SPSC ring full and took the
-  // locked overflow path (sim/sharded.hpp) - 0 on a well-sized steady
-  // state.
-  std::size_t overflow_posts = 0;
   std::vector<std::size_t> events_per_shard;
   // Affinity weight of the workload's switch co-occurrence graph crossing
   // shards under the chosen partition (topo::SwitchPartition::cut_weight).

@@ -37,7 +37,6 @@ std::string MonitorReport::to_string() const {
 }
 
 void ConsistencyMonitor::record(sim::SimTime at, PacketOutcome outcome) {
-  std::lock_guard<std::mutex> lock(mutex_);
   ++report_.total;
   switch (outcome) {
     case PacketOutcome::kDelivered: ++report_.delivered; break;
@@ -67,7 +66,6 @@ void ConsistencyMonitor::record(sim::SimTime at, PacketOutcome outcome) {
 ConsistencyMonitor& MultiFlowMonitor::monitor(FlowId flow) {
   const auto it = flows_.find(flow);
   if (it != flows_.end()) return it->second;
-  // try_emplace: ConsistencyMonitor owns a mutex and cannot be moved.
   return flows_.try_emplace(flow, bucket_width_).first->second;
 }
 

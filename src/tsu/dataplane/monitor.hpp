@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -59,16 +58,11 @@ class ConsistencyMonitor {
                                   sim::milliseconds(1))
       : bucket_width_(bucket_width) {}
 
-  // Thread-safe and commutative: under the parallel sharded engine a
-  // flow's packets can finish on whichever shard owns their last switch,
-  // so concurrent epochs may record from several workers. Every count and
-  // timeline bucket is a pure accumulator keyed by the simulation
-  // timestamp, so the final report is independent of record() call order -
-  // which is what keeps parallel runs bit-identical to sequential ones.
+  // Commutative: every count and timeline bucket is a pure accumulator
+  // keyed by the simulation timestamp, so the final report is independent
+  // of record() call order.
   void record(sim::SimTime at, PacketOutcome outcome);
 
-  // Readers are only safe once the simulation has quiesced (the executor
-  // reads after run()); they are not synchronized against record().
   const MonitorReport& report() const noexcept { return report_; }
 
   struct Bucket {
@@ -88,7 +82,6 @@ class ConsistencyMonitor {
 
  private:
   sim::Duration bucket_width_;
-  std::mutex mutex_;  // guards record() against concurrent shard workers
   MonitorReport report_;
   std::vector<Bucket> timeline_;
 };

@@ -39,10 +39,7 @@ sim::Simulator& TrafficSource::sim_of(NodeId node) {
 }
 
 void TrafficSource::start() {
-  // kLocal: injection reads source-local state and starts the packet on
-  // the ingress switch, which lives on this very shard.
-  home_sim_->schedule_at(config_.start, [this]() { inject(); },
-                         sim::EventScope::kLocal);
+  home_sim_->schedule_at(config_.start, [this]() { inject(); });
 }
 
 void TrafficSource::inject() {
@@ -57,11 +54,11 @@ void TrafficSource::inject() {
   live.packet.ttl = config_.ttl;
   live.visited.reset(switches_.size());
   ++injected_;
-  in_flight_.fetch_add(1, std::memory_order_relaxed);
+  ++in_flight_;
   hop(std::move(live), config_.ingress);
 
   home_sim_->schedule(config_.interarrival.sample(rng_),
-                      [this]() { inject(); }, sim::EventScope::kLocal);
+                      [this]() { inject(); });
 }
 
 void TrafficSource::hop(LivePacket live, NodeId at) {
@@ -129,11 +126,10 @@ void TrafficSource::hop(LivePacket live, NodeId at) {
   static_assert(sim::EventFn::fits_inline<decltype(next_hop)>(),
                 "hop closure outgrew the inline event buffer");
   if (group_ == nullptr || next_shard == here_shard) {
-    // kLocal: the hop reads only `next`'s tables, owned by this shard.
-    here.schedule(latency, std::move(next_hop), sim::EventScope::kLocal);
+    here.schedule(latency, std::move(next_hop));
   } else {
-    // Cross-shard hand-off: into the owner's mailbox, never into its
-    // queue mid-step (see sim/sharded.hpp).
+    // Cross-shard hand-off: into the owner's remote band (see
+    // sim/sharded.hpp).
     group_->post(next_shard, here_shard, here.now() + latency,
                  std::move(next_hop));
   }
@@ -142,7 +138,7 @@ void TrafficSource::hop(LivePacket live, NodeId at) {
 void TrafficSource::finish(const LivePacket& live, PacketOutcome outcome,
                            sim::SimTime at) {
   (void)live;
-  in_flight_.fetch_sub(1, std::memory_order_relaxed);
+  --in_flight_;
   monitor_.record(at, outcome);
 }
 

@@ -6,18 +6,14 @@
 //
 // SHARDED OPERATION. When constructed over a ShardedSim + SwitchPartition,
 // every hop event executes on the event queue of the shard OWNING the
-// switch it reads, so a hop only ever touches shard-local flow tables - the
-// invariant that lets parallel epochs run hops concurrently. A hop whose
-// next switch lives on a foreign shard hands the packet off through the
-// group's per-shard mailbox (ShardedSim::post) instead of scheduling into
-// the foreign queue directly. Each packet carries its own forked Rng for
-// link-latency sampling: samples then depend only on the packet's own hop
-// sequence, never on how concurrently-flying packets interleave, which
-// keeps parallel runs bit-identical to sequential ones.
+// switch it reads. A hop whose next switch lives on a foreign shard hands
+// the packet off through ShardedSim::post, which lands it in the owner's
+// remote band. Each packet carries its own forked Rng for link-latency
+// sampling: samples then depend only on the packet's own hop sequence,
+// never on how concurrently-flying packets interleave.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -69,14 +65,10 @@ class TrafficSource {
 
   std::size_t injected() const noexcept { return injected_; }
   // Packets still traversing the network.
-  std::size_t in_flight() const noexcept {
-    return in_flight_.load(std::memory_order_relaxed);
-  }
+  std::size_t in_flight() const noexcept { return in_flight_; }
 
   // Moves the injection stop time (e.g. once the update under observation
-  // has completed and the drain window is known). Only safe at a sync
-  // point (the executor calls it from update-completion handlers, which
-  // are kShared events): injection reads it from inside parallel epochs.
+  // has completed and the drain window is known).
   void set_stop(sim::SimTime stop) noexcept { config_.stop = stop; }
 
  private:
@@ -140,8 +132,7 @@ class TrafficSource {
   Rng rng_;
   ConsistencyMonitor& monitor_;
   std::size_t injected_ = 0;
-  // Decremented by whichever shard finishes the packet.
-  std::atomic<std::size_t> in_flight_{0};
+  std::size_t in_flight_ = 0;
 };
 
 }  // namespace tsu::dataplane

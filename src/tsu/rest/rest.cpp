@@ -197,28 +197,6 @@ Result<RestUpdateMessage> parse_update_message(std::string_view json_text) {
                           "unknown partition scheme '" + value.as_string() +
                               "' (hash | block | greedy_cut)");
       message.partition = *scheme;
-    } else if (key == "exec") {
-      if (!value.is_string())
-        return make_error(Errc::kParseError, "'exec' must be a string");
-      const std::optional<sim::ExecMode> mode =
-          sim::exec_mode_from_string(value.as_string());
-      if (!mode.has_value())
-        return make_error(Errc::kParseError,
-                          "unknown exec mode '" + value.as_string() +
-                              "' (sequential | parallel)");
-      message.exec = *mode;
-    } else if (key == "threads") {
-      if (!value.is_number() || value.as_int() < 0)
-        return make_error(Errc::kOutOfRange, "'threads' must be >= 0");
-      message.threads = static_cast<std::size_t>(value.as_int());
-    } else if (key == "speculate") {
-      if (!value.is_bool())
-        return make_error(Errc::kParseError, "'speculate' must be a bool");
-      message.speculate = value.as_bool();
-    } else if (key == "steal") {
-      if (!value.is_bool())
-        return make_error(Errc::kParseError, "'steal' must be a bool");
-      message.steal = value.as_bool();
     } else if (key == "plan_cache") {
       if (!value.is_string() ||
           (value.as_string() != "on" && value.as_string() != "off"))
@@ -312,15 +290,6 @@ std::string to_json(const RestUpdateMessage& message) {
              json::Value(static_cast<std::int64_t>(*message.shards)));
   if (message.partition.has_value())
     root.set("partition", json::Value(topo::to_string(*message.partition)));
-  if (message.exec.has_value())
-    root.set("exec", json::Value(sim::to_string(*message.exec)));
-  if (message.threads.has_value())
-    root.set("threads",
-             json::Value(static_cast<std::int64_t>(*message.threads)));
-  if (message.speculate.has_value())
-    root.set("speculate", json::Value(*message.speculate));
-  if (message.steal.has_value())
-    root.set("steal", json::Value(*message.steal));
   if (message.plan_cache.has_value())
     root.set("plan_cache", json::Value(*message.plan_cache ? "on" : "off"));
   if (message.liveness_timeout_ms.has_value())
@@ -441,10 +410,6 @@ void apply_controller_overrides(const RestUpdateMessage& message,
     config.admission_release = *message.admission_release;
   if (message.shards.has_value()) config.shards = *message.shards;
   if (message.partition.has_value()) config.partition = *message.partition;
-  if (message.exec.has_value()) config.exec = *message.exec;
-  if (message.threads.has_value()) config.threads = *message.threads;
-  if (message.speculate.has_value()) config.speculate = *message.speculate;
-  if (message.steal.has_value()) config.steal = *message.steal;
   if (message.plan_cache.has_value()) config.plan_cache = *message.plan_cache;
   if (message.max_in_flight.has_value())
     config.max_in_flight = *message.max_in_flight;

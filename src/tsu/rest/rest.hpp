@@ -58,17 +58,9 @@ struct RestUpdateMessage {
   std::optional<std::size_t> batch_bytes;
   std::optional<std::size_t> shards;
   std::optional<topo::PartitionScheme> partition;
-  // How the sharded clock steps (sequential merge or parallel epochs) and
-  // with how many worker threads (0 = auto); see sim/sharded.hpp.
-  std::optional<sim::ExecMode> exec;
-  std::optional<std::size_t> threads;
-  // Speculative round barriers and longest-first epoch launch ordering
-  // (controller/controller.hpp speculate / steal).
-  std::optional<bool> speculate;
   // Compiled-plan cache for service-mode submissions ("on" | "off" in the
   // wire document, matching the config key; controller.hpp plan_cache).
   std::optional<bool> plan_cache;
-  std::optional<bool> steal;
   // Fault-tolerance knobs (controller/controller.hpp): liveness detection
   // timeout (0 disables the whole fault path) and what a timed-out update
   // does (wait-and-retry or roll back).
@@ -94,10 +86,9 @@ Result<update::Instance> to_instance(const RestUpdateMessage& message,
 
 // Applies the message's optional controller knobs (admission policy and
 // release granularity, max_in_flight, the batching knobs batch_mode /
-// batch_window_ms / batch_bytes, the sharding knobs
-// shards / partition / exec / threads / speculate / steal, and the
-// fault-tolerance knobs liveness_timeout_ms / failure_response) onto a
-// controller configuration.
+// batch_window_ms / batch_bytes, the sharding knobs shards / partition,
+// plan_cache, and the fault-tolerance knobs liveness_timeout_ms /
+// failure_response) onto a controller configuration.
 void apply_controller_overrides(const RestUpdateMessage& message,
                                 controller::ControllerConfig& config);
 

@@ -25,20 +25,6 @@ Duration LatencyModel::sample(Rng& rng) const {
   return static_cast<Duration>(value);
 }
 
-Duration LatencyModel::min_delay() const noexcept {
-  switch (kind) {
-    case LatencyKind::kConstant:
-    case LatencyKind::kUniform:
-    case LatencyKind::kPareto:
-      // sample() casts a double >= a, so the truncated `a` lower-bounds it.
-      return a <= 0 ? 0 : static_cast<Duration>(a);
-    case LatencyKind::kExponential:
-    case LatencyKind::kLognormal:
-      return 0;
-  }
-  return 0;
-}
-
 double LatencyModel::mean() const {
   switch (kind) {
     case LatencyKind::kConstant: return a;

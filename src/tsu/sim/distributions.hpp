@@ -38,11 +38,6 @@ struct LatencyModel {
   Duration sample(Rng& rng) const;
   // Expected value (exact per model); used for analytic sanity checks.
   double mean() const;
-  // A guaranteed lower bound on sample(): the value for kConstant, the
-  // distribution's lower edge for kUniform/kPareto, 0 for the unbounded-
-  // below kinds. The parallel sharded engine derives its cross-shard
-  // lookahead from this (sim/sharded.hpp).
-  Duration min_delay() const noexcept;
   std::string to_string() const;
 
   static LatencyModel constant(Duration value);

@@ -1,7 +1,6 @@
 #include "tsu/sim/event_queue.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "tsu/util/assert.hpp"
@@ -10,7 +9,7 @@ namespace tsu::sim {
 
 namespace {
 
-// The heap vectors are max-heaps under Entry's inverted comparison, so
+// The heap vector is a max-heap under Entry's inverted comparison, so
 // front() is the earliest event. These helpers keep the call sites honest
 // (templates: Entry is private to EventQueue).
 template <typename Entry>
@@ -27,8 +26,8 @@ inline void heap_pop(std::vector<Entry>& heap) {
 
 }  // namespace
 
-EventId EventQueue::push(SimTime at, EventFn fn, EventScope scope, Band band,
-                         SimTime posted_at, std::uint64_t remote_seq) {
+EventId EventQueue::push(SimTime at, EventFn fn, Band band, SimTime posted_at,
+                         std::uint64_t remote_seq) {
   std::uint32_t slot;
   if (!free_.empty()) {
     slot = free_.back();
@@ -46,16 +45,13 @@ EventId EventQueue::push(SimTime at, EventFn fn, EventScope scope, Band band,
   s.time = at;
   s.seq = next_seq_++;
   s.fn = std::move(fn);
-  s.scope = scope;
   s.band = band;
   s.pending = true;
-  // Remote entries tie-break on the post key so the order is independent
-  // of drain batching; native entries tie-break on push order.
+  // Remote entries tie-break on the post key, native entries on push
+  // order.
   const std::uint64_t major = band == Band::kRemote ? posted_at : s.seq;
   const std::uint64_t minor = band == Band::kRemote ? remote_seq : 0;
   heap_push(heap_, Entry{at, major, minor, slot, s.gen, band});
-  if (scope == EventScope::kShared)
-    heap_push(shared_heap_, Entry{at, major, minor, slot, s.gen, band});
   ++live_;
   return make_id(slot, s.gen);
 }
@@ -84,10 +80,6 @@ void EventQueue::maybe_compact() {
   const auto dead = [this](const Entry& entry) { return !entry_live(entry); };
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(), dead), heap_.end());
   std::make_heap(heap_.begin(), heap_.end());
-  shared_heap_.erase(
-      std::remove_if(shared_heap_.begin(), shared_heap_.end(), dead),
-      shared_heap_.end());
-  std::make_heap(shared_heap_.begin(), shared_heap_.end());
 }
 
 bool EventQueue::empty() const noexcept { return live_ == 0; }
@@ -102,14 +94,6 @@ SimTime EventQueue::next_time() const {
   return heap_.front().time;
 }
 
-SimTime EventQueue::next_shared_time() const {
-  auto* self = const_cast<EventQueue*>(this);
-  while (!self->shared_heap_.empty() && !entry_live(self->shared_heap_.front()))
-    heap_pop(self->shared_heap_);
-  return shared_heap_.empty() ? std::numeric_limits<SimTime>::max()
-                              : shared_heap_.front().time;
-}
-
 EventQueue::Fired EventQueue::pop() {
   TSU_ASSERT_MSG(!empty(), "pop on empty queue");
   while (!heap_.empty()) {
@@ -117,21 +101,13 @@ EventQueue::Fired EventQueue::pop() {
     heap_pop(heap_);
     if (!entry_live(top)) continue;  // cancelled
     Slot& s = slots_[top.slot];
-    Fired fired{top.time, std::move(s.fn), s.scope};
+    Fired fired{top.time, std::move(s.fn)};
     retire(top.slot);
     --live_;
-    if (fired.scope == EventScope::kShared) {
-      // A fired kShared event is the minimum of heap_, hence of the
-      // subset shared_heap_ too: skim it (and any cancelled entries
-      // above it) off now, so sequential runs - which never call
-      // next_shared_time() - cannot grow the index without bound.
-      while (!shared_heap_.empty() && !entry_live(shared_heap_.front()))
-        heap_pop(shared_heap_);
-    }
     return fired;
   }
   TSU_ASSERT_MSG(false, "live_ count out of sync with heap");
-  return Fired{0, nullptr, EventScope::kShared};
+  return Fired{0, nullptr};
 }
 
 }  // namespace tsu::sim

@@ -5,33 +5,20 @@
 // STORAGE. Events live in a pooled slot arena: a vector of fixed slots
 // recycled through a free list, each holding the closure in a
 // small-buffer-optimized InlineFn. Steady state performs ZERO heap
-// allocations per event - push reuses a retired slot (and the heap vectors'
+// allocations per event - push reuses a retired slot (and the heap vector's
 // high-water capacity), pop returns it. An EventId encodes (generation,
 // slot); a bumped generation invalidates every outstanding reference to a
 // retired incarnation, which is what makes lazily cancelled heap entries
 // detectable in O(1) without a lookup table. The allocation-regression
 // test (tests/hotpath_alloc_test.cpp) pins the zero-allocation property.
 //
-// Two orthogonal labels support the parallel sharded engine (sharded.hpp):
-//
-//   scope  kLocal events are guaranteed by their scheduler to touch only
-//          state owned by this queue's shard, so a parallel epoch may run
-//          them without cross-shard synchronization. kShared (the safe
-//          default) events may read or mutate foreign-shard state and are
-//          only ever executed at horizon sync points. next_shared_time()
-//          is the earliest pending kShared event - one input of the safe-
-//          horizon computation.
-//
-//   band   kNative events were scheduled by this shard's own execution;
-//          kRemote events arrived through a cross-shard mailbox. At equal
-//          timestamps every remote event sorts after every native one, and
-//          remote events among themselves sort by the caller-supplied
-//          (post time, poster, per-poster sequence) key - NOT by insertion
-//          order. The full order of a hand-off against same-instant work
-//          is therefore a property of the timestamps alone, not of WHEN
-//          the mailbox was drained or in how many batches, which is what
-//          keeps the sequential merger, the epoch stepper and the per-wave
-//          drains of sharded.hpp bit-identical.
+// Events occupy one of two tie-break BANDS at their timestamp. kNative
+// events were scheduled by this shard's own execution; kRemote events
+// arrived through a cross-shard post (sharded.hpp). At equal timestamps
+// every remote event sorts after every native one, and remote events among
+// themselves sort by the caller-supplied (post time, poster, per-poster
+// sequence) key - NOT by insertion order. That key fixes the multi-shard
+// event order the golden digests pin.
 //
 // Cancellation is lazy for the HEAP ENTRY only - the slot's closure (and
 // everything it owns: frames, packets, request state) is destroyed
@@ -55,10 +42,6 @@ namespace tsu::sim {
 using EventFn = InlineFn;
 using EventId = std::uint64_t;
 
-// See the file comment. kShared is the default: only call sites that can
-// prove shard-locality opt into kLocal.
-enum class EventScope : std::uint8_t { kShared = 0, kLocal = 1 };
-
 class EventQueue {
  public:
   // Which tie-break band an event occupies at its timestamp.
@@ -67,9 +50,8 @@ class EventQueue {
   // For Band::kRemote, `posted_at` and `remote_seq` form the deterministic
   // tie-break among same-instant remote events (see the file comment);
   // native pushes ignore them and tie-break on scheduling order.
-  EventId push(SimTime at, EventFn fn, EventScope scope = EventScope::kShared,
-               Band band = Band::kNative, SimTime posted_at = 0,
-               std::uint64_t remote_seq = 0);
+  EventId push(SimTime at, EventFn fn, Band band = Band::kNative,
+               SimTime posted_at = 0, std::uint64_t remote_seq = 0);
 
   // Cancels a pending event. The closure is released eagerly (its captured
   // resources die NOW, not when the dead heap slot surfaces); only the
@@ -84,14 +66,11 @@ class EventQueue {
   // small constant; exposed so tests can pin the bound.
   std::size_t heap_size() const noexcept { return heap_.size(); }
   SimTime next_time() const;
-  // Earliest pending kShared event; SimTime max when none is pending.
-  SimTime next_shared_time() const;
 
   // Pops and returns the next live event; callers must check empty() first.
   struct Fired {
     SimTime time;
     EventFn fn;
-    EventScope scope;
   };
   Fired pop();
 
@@ -106,8 +85,7 @@ class EventQueue {
     SimTime time;
     // Native: the push-order sequence (unique, so `minor` never decides).
     // Remote: the poster's clock at post time, then (poster, post seq)
-    // packed into `minor` - a pure function of the post itself, identical
-    // whatever sync point drained it.
+    // packed into `minor` - a pure function of the post itself.
     std::uint64_t major;
     std::uint64_t minor;
     std::uint32_t slot;
@@ -130,7 +108,6 @@ class EventQueue {
     std::uint64_t seq = 0;
     EventFn fn;
     std::uint32_t gen = 0;
-    EventScope scope = EventScope::kShared;
     Band band = Band::kNative;
     bool pending = false;
   };
@@ -153,20 +130,17 @@ class EventQueue {
     free_.push_back(slot);
   }
 
-  // Compacts the heaps in place (dead entries erased, then re-heapified)
+  // Compacts the heap in place (dead entries erased, then re-heapified)
   // when the cancelled fraction crosses the threshold. O(heap), amortized
   // free (a rebuild only happens after at least as many cancels as live
   // entries), and allocation-free: both vectors keep their capacity.
   void maybe_compact();
 
-  // Binary max-heaps on the inverted Entry comparison (std::push_heap /
+  // Binary max-heap on the inverted Entry comparison (std::push_heap /
   // std::pop_heap over plain vectors, not std::priority_queue): raw
   // vectors are what lets maybe_compact() work in place and the arena
   // recycle capacity instead of reallocating.
   std::vector<Entry> heap_;
-  // Index of pending kShared events only, skimmed lazily like heap_; keeps
-  // next_shared_time() O(log shared) instead of a scan.
-  std::vector<Entry> shared_heap_;
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;

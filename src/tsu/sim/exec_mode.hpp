@@ -1,20 +1,12 @@
-// How a ShardedSim (sim/sharded.hpp) steps its shards. Split out so
-// configuration layers (controller config, REST, JSON) can name the enum
-// without pulling in the sharded stepper and its threading headers.
+// How a ShardedSim (sim/sharded.hpp) steps its shards. The sequential
+// merger is the only stepper; the enum survives solely because the
+// standalone benchmark program assigns ControllerConfig::exec.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 namespace tsu::sim {
 
-enum class ExecMode : std::uint8_t {
-  kSequential = 0,  // single-threaded global merge (the PR 4 engine)
-  kParallel = 1,    // worker-pool epochs between safe horizons
-};
-
-const char* to_string(ExecMode mode) noexcept;
-std::optional<ExecMode> exec_mode_from_string(std::string_view name) noexcept;
+enum class ExecMode : std::uint8_t { kSequential = 0 };
 
 }  // namespace tsu::sim

@@ -8,9 +8,8 @@
 // serialized schedule (`sim_cli --faults <file>`).
 //
 // The schedule itself injects nothing; the core executor walks it and
-// schedules the state flips as shared-scope events (sim/event_queue.hpp),
-// so a fault lands at an exact instant on the owning shard's timeline in
-// sequential and parallel stepping alike. An EMPTY schedule must leave the
+// schedules the state flips as events, so a fault lands at an exact
+// instant on the owning shard's timeline. An EMPTY schedule must leave the
 // engine bit-identical to a build without this subsystem: nothing here may
 // schedule events, draw randomness, or touch per-frame state unless the
 // schedule is non-empty.

@@ -1,6 +1,5 @@
 #include "tsu/sim/sharded.hpp"
 
-#include <algorithm>
 #include <utility>
 
 namespace tsu::sim {
@@ -21,75 +20,11 @@ inline std::uint64_t remote_key(std::size_t poster,
 }  // namespace
 
 void ShardedSim::post(std::size_t target, std::size_t poster, SimTime at,
-                      EventFn fn, EventScope scope) {
+                      EventFn fn) {
   TSU_ASSERT_MSG(target < shards_.size() && poster < shards_.size(),
-                 "mailbox post outside the shard group");
-  if (!buffering_ || target == poster) {
-    // Sequential merger / sync point - or a mid-wave SELF-post, where the
-    // poster's own worker is the only thread touching this queue: the
-    // hand-off schedules straight through. The remote-band key makes the
-    // resulting order a function of the post itself, so the buffered path
-    // below lands identically.
-    const SimTime posted_at = shards_[poster]->now();
-    shards_[target]->push_remote(at, std::move(fn), scope, posted_at,
-                                 remote_key(poster, post_seq_[poster]++));
-    return;
-  }
-  Post post;
-  post.at = at;
-  post.posted_at = shards_[poster]->now();
-  post.poster = poster;
-  post.seq = post_seq_[poster]++;  // poster-owned slot: no lock needed
-  post.scope = scope;
-  post.fn = std::move(fn);
-  PairBox& box = pair_box(target, poster);
-  // Mid-epoch only the worker stepping `poster` reaches this ring, and the
-  // merging thread drains it after the pool join: a true SPSC pairing.
-  if (box.ring.try_push(std::move(post))) return;
-  // Ring full: spill to the locked overflow path. Correctness is
-  // unaffected (the drain merges both sources before sorting); only this
-  // burst pays for a lock.
-  overflow_posts_.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(box.overflow_mutex);
-    box.overflow.push_back(std::move(post));
-  }
-  box.has_overflow.store(true, std::memory_order_release);
-}
-
-void ShardedSim::drain_mailbox(std::size_t target) {
-  // Sync point: workers are quiescent (pool joined), so every ring pop and
-  // overflow read here is safely ordered after the epoch's pushes.
-  drain_scratch_.clear();
-  for (std::size_t poster = 0; poster < shards_.size(); ++poster) {
-    PairBox& box = pair_box(target, poster);
-    Post post;
-    while (box.ring.try_pop(post)) drain_scratch_.push_back(std::move(post));
-    if (box.has_overflow.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(box.overflow_mutex);
-      for (Post& spilled : box.overflow)
-        drain_scratch_.push_back(std::move(spilled));
-      box.overflow.clear();
-      box.has_overflow.store(false, std::memory_order_relaxed);
-    }
-  }
-  if (drain_scratch_.empty()) return;
-  // The (at, post time, poster, seq) key carried on every remote entry is
-  // what fixes the order - identical whatever wave drained the post. The
-  // sort only keeps the queue pushes in that order too (cheap, and makes
-  // drained batches humanly inspectable); correctness does not rest on it.
-  std::sort(drain_scratch_.begin(), drain_scratch_.end(),
-            [](const Post& a, const Post& b) {
-              if (a.at != b.at) return a.at < b.at;
-              if (a.posted_at != b.posted_at) return a.posted_at < b.posted_at;
-              if (a.poster != b.poster) return a.poster < b.poster;
-              return a.seq < b.seq;
-            });
-  for (Post& post : drain_scratch_)
-    shards_[target]->push_remote(post.at, std::move(post.fn), post.scope,
-                                 post.posted_at,
-                                 remote_key(post.poster, post.seq));
-  drain_scratch_.clear();
+                 "cross-shard post outside the shard group");
+  shards_[target]->push_remote(at, std::move(fn), shards_[poster]->now(),
+                               remote_key(poster, post_seq_[poster]++));
 }
 
 bool ShardedSim::step_earliest(SimTime until) {
@@ -115,149 +50,6 @@ std::size_t ShardedSim::run(SimTime until) {
   while (step_earliest(until)) ++processed;
   if (now_ < until && until != std::numeric_limits<SimTime>::max())
     now_ = until;
-  return processed;
-}
-
-std::size_t ShardedSim::run_parallel(ThreadPool& pool, Duration lookahead,
-                                     SimTime until) {
-  const SimTime kMax = std::numeric_limits<SimTime>::max();
-  const std::size_t n_shards = shards_.size();
-  std::size_t processed = 0;
-  epoch_counts_.assign(n_shards, 0);
-  wave_bounds_.assign(n_shards, 0);
-  std::vector<std::size_t>& counts = epoch_counts_;
-  // The pool task is built ONCE: a single-reference capture keeps it inside
-  // std::function's small-object buffer, and mutating `ctx` per wave
-  // avoids re-wrapping the lambda (one heap allocation per wave
-  // otherwise - measurable on fine-grained workloads).
-  struct EpochCtx {
-    ShardedSim* self;
-    std::size_t* counts;
-    const SimTime* bounds;
-  } ctx{this, counts.data(), wave_bounds_.data()};
-  const std::function<void(std::size_t)> epoch_task = [&ctx](std::size_t i) {
-    ctx.counts[i] = ctx.self->shards_[i]->run_epoch(ctx.bounds[i]);
-  };
-  while (true) {
-    // One pass: the global kShared minimum plus the two smallest
-    // next-event times (with the argmin), so each shard's sibling minimum
-    // min_{j != i} N_j is min1 (or min2 when i IS the argmin).
-    SimTime shared_min = kMax;
-    SimTime min1 = kMax, min2 = kMax;
-    std::size_t argmin = n_shards;
-    for (std::size_t i = 0; i < n_shards; ++i) {
-      const SimTime t = shards_[i]->next_event_time();
-      if (t < min1) {
-        min2 = min1;
-        min1 = t;
-        argmin = i;
-      } else {
-        min2 = std::min(min2, t);
-      }
-      shared_min = std::min(shared_min, shards_[i]->next_shared_time());
-    }
-    if (min1 == kMax || min1 > until) break;
-
-    // Per-shard safe bounds (see the file comment): shard i may run below
-    // S_i = min(shared_min, min_{j != i} N_j + lookahead,
-    //           N_i + 2 * lookahead). The sibling term covers everything a
-    // SIBLING's pending work can send here; the self term covers a bounce
-    // THROUGH a sibling (i's own event posts to j, whose handler posts
-    // back) - that cycle crosses two mailbox hops of >= lookahead each, so
-    // nothing i executes below N_i + 2*lookahead can be undercut by its
-    // own echo even when every sibling is idle (N_j = max). Same-shard
-    // creations are covered by run_epoch's own-kShared guard plus direct
-    // self-post delivery.
-    std::size_t eligible = 0;
-    std::size_t busy = n_shards;  // the eligible shard, when exactly one
-    for (std::size_t i = 0; i < n_shards; ++i) {
-      const SimTime others = i == argmin ? min2 : min1;
-      SimTime bound = shared_min;
-      if (others != kMax) {
-        const SimTime creation =
-            lookahead > kMax - others ? kMax : others + lookahead;
-        bound = std::min(bound, creation);
-      }
-      const SimTime self = shards_[i]->next_event_time();
-      if (self != kMax) {
-        const Duration round_trip =
-            lookahead > kMax - lookahead ? kMax : 2 * lookahead;
-        const SimTime bounce =
-            round_trip > kMax - self ? kMax : self + round_trip;
-        bound = std::min(bound, bounce);
-      }
-      if (until != kMax && bound > until)
-        bound = until == kMax - 1 ? kMax : until + 1;  // events AT until fire
-      wave_bounds_[i] = bound;
-      if (shards_[i]->next_event_time() < bound) {
-        ++eligible;
-        busy = i;
-      }
-    }
-
-    if (eligible == 0) {
-      // Collapsed wave: the earliest event everywhere is (or ties with) a
-      // kShared one. One sequential merge step is always safe; kLocal
-      // posts made by it schedule straight through (buffering_ is false
-      // here).
-      const bool stepped = step_earliest(until);
-      TSU_ASSERT(stepped);
-      ++processed;
-      ++horizon_stalls_;
-      continue;
-    }
-
-    if (eligible == 1) {
-      // One busy shard: run its epoch inline, skip the pool round-trip.
-      buffering_ = true;
-      const std::size_t count = shards_[busy]->run_epoch(wave_bounds_[busy]);
-      buffering_ = false;
-      events_[busy] += count;
-      processed += count;
-      now_ = std::max(now_, shards_[busy]->epoch_now());
-    } else {
-      const std::size_t* order = nullptr;
-      if (steal_) {
-        // Longest-epoch-first launch order: pending counts at the wave
-        // start, descending, ties to the lowest index - deterministic
-        // whatever the pool size. Count a steal for every launch the
-        // reorder promoted past a lower-indexed shard that also has work
-        // this wave.
-        steal_order_.resize(n_shards);
-        for (std::size_t i = 0; i < n_shards; ++i) steal_order_[i] = i;
-        std::sort(steal_order_.begin(), steal_order_.end(),
-                  [this](std::size_t a, std::size_t b) {
-                    const std::size_t pa = shards_[a]->pending();
-                    const std::size_t pb = shards_[b]->pending();
-                    if (pa != pb) return pa > pb;
-                    return a < b;
-                  });
-        for (std::size_t pos = 0; pos < n_shards; ++pos) {
-          const std::size_t i = steal_order_[pos];
-          if (shards_[i]->next_event_time() >= wave_bounds_[i]) continue;
-          for (std::size_t later = pos + 1; later < n_shards; ++later) {
-            const std::size_t j = steal_order_[later];
-            if (j < i && shards_[j]->next_event_time() < wave_bounds_[j]) {
-              ++steals_;
-              break;
-            }
-          }
-        }
-        order = steal_order_.data();
-      }
-      buffering_ = true;
-      pool.parallel_ordered(n_shards, order, epoch_task);
-      buffering_ = false;
-      for (std::size_t i = 0; i < n_shards; ++i) {
-        events_[i] += counts[i];
-        processed += counts[i];
-        if (counts[i] > 0) now_ = std::max(now_, shards_[i]->epoch_now());
-      }
-    }
-    ++parallel_epochs_;
-    for (std::size_t i = 0; i < n_shards; ++i) drain_mailbox(i);
-  }
-  if (now_ < until && until != kMax) now_ = until;
   return processed;
 }
 

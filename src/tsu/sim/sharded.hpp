@@ -1,85 +1,30 @@
 // The sharded logical clock: one global simulation time driving N
-// per-shard event queues. Within a shard, events fire in (time, band,
-// insertion) order exactly as in a lone Simulator; across shards the
-// merger always steps the shard with the earliest next event, breaking
-// timestamp ties towards the lowest shard index, so every run is fully
-// deterministic and a 1-shard group is event-for-event identical to a lone
-// Simulator (the `shards = 1` bit-compatibility guarantee rests on this).
+// per-shard event queues, stepped by one sequential merger. Within a shard,
+// events fire in (time, band, insertion) order exactly as in a lone
+// Simulator; across shards the merger always steps the shard with the
+// earliest next event, breaking timestamp ties towards the lowest shard
+// index, so every run is fully deterministic and a 1-shard group is
+// event-for-event identical to a lone Simulator (the `shards = 1`
+// bit-compatibility guarantee rests on this).
 //
-// EXECUTION MODES. run() is the sequential merger. run_parallel() steps
-// independent shards on a worker pool in WAVES between cross-shard
-// synchronization points: each wave computes a PER-SHARD safe bound
-//
-//   S_i = min( earliest pending kShared event across shards,   // inbound
-//              min over siblings j != i of N_j + lookahead,     // creation
-//              N_i + 2 * lookahead )                            // bounce
-//
-// where N_j is shard j's earliest pending event at the wave start - the
-// earliest instant at which any OTHER shard's execution can reach shard i.
-// kShared events (inbound control-plane deliveries, coordinator round
-// barriers, harness submissions) only ever run at sync points on the
-// merging thread; `lookahead` is the caller's lower bound on the delay of
-// any kShared event or cross-shard mailbox post CREATED by a kLocal event
-// (the executor derives it from the latency models), so nothing a sibling
-// schedules mid-wave can mature below S_i. The third term is shard i's own
-// ROUND-TRIP horizon: an event i executes can post into a sibling's
-// mailbox, and that sibling's handler can post right back - a cycle that
-// crosses at least two mailbox hops of >= lookahead each, so the echo
-// lands at >= N_i + 2*lookahead. Without this cap a shard with idle
-// siblings and no near kShared event would run arbitrarily far ahead and
-// later receive its own echo below events it already executed. A shard's
-// own mid-wave creations are covered separately: run_epoch stops at the
-// shard's own earliest pending kShared event (simulator.hpp), and
-// same-shard mailbox posts deliver directly under the remote-band key
-// order. Per-shard bounds still dominate the old global horizon
-// min_i(N_i) + lookahead: a shard far ahead of its siblings no longer
-// drags everyone's window down, it only constrains what may run on
-// ITSELF - and since N_i >= min_j(N_j), the bounce cap N_i + 2*lookahead
-// is never tighter than that old global horizon. If no shard has work below its
-// bound the merger falls back to one sequential step (a HORIZON STALL);
-// otherwise every eligible shard runs its sub-bound events concurrently on
-// a private clock copy, the pool joins, mailboxes drain, and the global
-// clock advances. Every event keeps the timestamp, shard and intra-shard
-// order it has under run(), so both modes are bit-identical - the
-// equivalence suite pins this.
-//
-// WORK STEALING. set_steal(true) orders each wave's epoch launches by
-// pending-event count, descending (ties to the lowest shard index) - LPT
-// scheduling, so when shards outnumber pool lanes an idle lane picks up
-// the heaviest remaining epoch first instead of walking shard indexes.
-// The order is a pure function of the wave-start queue states, hence
-// deterministic and thread-count independent; steals() counts how many
-// launches the reorder moved ahead of a lower-indexed eligible shard.
-//
-// MAILBOXES. Shards never schedule into a foreign shard's queue mid-step.
-// A cross-shard hand-off (today: a data-plane packet hopping to a switch
-// owned by another shard) is posted into a lock-free SPSC ring - one ring
-// per (poster, target) shard pair, so each ring has exactly one producer
-// (the worker stepping the posting shard) and one consumer (the merging
-// thread at the sync point). A full ring spills to a mutex-guarded
-// overflow vector, keeping bursts correct while the steady state never
-// takes a lock or allocates. At each sync point the target's rings and
-// overflow drain into a reusable scratch buffer, sorted into the same
-// deterministic order the sequential merger produces naturally: (delivery
-// time, post time, posting shard, per-shard post sequence). Drained
-// entries enter the target queue in the REMOTE band (event_queue.hpp), so
-// their order against same-instant native events is fixed by timestamps
-// alone and the sequential merger - which drains posts immediately -
-// produces the identical schedule.
+// CROSS-SHARD POSTS. A hand-off from one shard into another (today: a
+// data-plane packet hopping to a switch owned by another shard) goes
+// through post(), which schedules straight into the target queue's REMOTE
+// band (event_queue.hpp). At equal timestamps a remote entry fires after
+// every native event of the target, and remote entries among themselves
+// fire by (post time, posting shard, per-poster post sequence) - a key
+// carried by the post itself. That key is what defines the multi-shard
+// event order the golden digests pin, so it stays even though every post
+// is now delivered the instant it is made.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <vector>
 
-#include "tsu/sim/exec_mode.hpp"
 #include "tsu/sim/simulator.hpp"
-#include "tsu/sim/spsc_ring.hpp"
-#include "tsu/sim/thread_pool.hpp"
 #include "tsu/sim/time.hpp"
 #include "tsu/util/assert.hpp"
 
@@ -92,9 +37,6 @@ class ShardedSim {
     shards_.reserve(count);
     for (std::size_t i = 0; i < count; ++i)
       shards_.push_back(std::make_unique<Simulator>(&now_));
-    pair_boxes_.reserve(count * count);
-    for (std::size_t i = 0; i < count * count; ++i)
-      pair_boxes_.push_back(std::make_unique<PairBox>());
     post_seq_.assign(count, 0);
     events_.assign(count, 0);
   }
@@ -113,133 +55,39 @@ class ShardedSim {
 
   SimTime now() const noexcept { return now_; }
 
-  // Harness-level events (warmup submissions and the like) land on shard 0
-  // unless schedule_on targets the shard that owns the work.
-  EventId schedule(Duration delay, EventFn fn,
-                   EventScope scope = EventScope::kShared) {
-    return shards_[0]->schedule(delay, std::move(fn), scope);
-  }
-  EventId schedule_on(std::size_t shard, Duration delay, EventFn fn,
-                      EventScope scope = EventScope::kShared) {
+  // Harness-level events (warmup submissions, fault flips and the like),
+  // scheduled on the shard that owns the work.
+  EventId schedule_on(std::size_t shard, Duration delay, EventFn fn) {
     TSU_ASSERT_MSG(shard < shards_.size(), "shard index out of range");
-    return shards_[shard]->schedule(delay, std::move(fn), scope);
+    return shards_[shard]->schedule(delay, std::move(fn));
   }
 
   // Cross-shard hand-off from `poster`'s execution into `target`'s queue
-  // at absolute time `at` (see the file comment). Callable from a worker
-  // thread mid-epoch; the entry becomes visible to the target at the next
-  // sync point (immediately under the sequential merger, and immediately
-  // for a SELF-post - target == poster - which only the poster's own
-  // worker can observe; the remote-band key makes the insertion instant
-  // irrelevant to ordering either way).
-  void post(std::size_t target, std::size_t poster, SimTime at, EventFn fn,
-            EventScope scope = EventScope::kLocal);
+  // at absolute time `at`, in the remote band (see the file comment).
+  void post(std::size_t target, std::size_t poster, SimTime at, EventFn fn);
 
   // Merged run: repeatedly steps the shard with the earliest pending event
   // until every queue drains or `until` is reached (events at exactly
   // `until` still fire). Returns the number of events processed.
   std::size_t run(SimTime until = std::numeric_limits<SimTime>::max());
 
-  // Parallel run (see the file comment). `lookahead` must lower-bound the
-  // delay of every kShared event / mailbox post a kLocal event can create
-  // TOWARDS A SIBLING shard (same-shard creations are self-guarded);
-  // 0 degenerates to per-event sequential stepping (always correct, never
-  // concurrent). Bit-identical to run() by construction.
-  std::size_t run_parallel(ThreadPool& pool, Duration lookahead,
-                           SimTime until = std::numeric_limits<SimTime>::max());
-
-  // Longest-epoch-first launch ordering for waves (see the file comment).
-  // Off by default: with lanes >= shards the order cannot matter.
-  void set_steal(bool on) noexcept { steal_ = on; }
-  bool steal() const noexcept { return steal_; }
-
-  std::size_t pending() const noexcept {
-    std::size_t total = 0;
-    for (const auto& shard : shards_) total += shard->pending();
-    return total;
-  }
-
-  // Observability of the stepping engine: epochs that ran shards
-  // concurrently, sequential fallback steps at collapsed horizons, and
-  // events processed per shard (equal across reruns of one seed - the
-  // parallel determinism test pins this).
-  std::size_t parallel_epochs() const noexcept { return parallel_epochs_; }
-  std::size_t horizon_stalls() const noexcept { return horizon_stalls_; }
-  // Epoch launches the steal reorder promoted past a lower-indexed
-  // eligible shard (0 unless set_steal(true)); a wave-start-state count,
-  // so it is identical across reruns and thread counts.
-  std::size_t steals() const noexcept { return steals_; }
+  // Events processed per shard (equal across reruns of one seed).
   const std::vector<std::size_t>& events_per_shard() const noexcept {
     return events_;
   }
-  // Posts that found their SPSC ring full and took the mutex-guarded
-  // overflow path. A persistently non-zero rate on a steady workload means
-  // kRingCapacity is undersized for it.
-  std::size_t overflow_posts() const noexcept {
-    return overflow_posts_.load(std::memory_order_relaxed);
-  }
-
-  // Ring depth per (poster, target) pair. Bursts beyond this spill to the
-  // overflow vector - correct but locked; sized so steady workloads never
-  // spill (the bench JSON tracks overflow_posts to keep this honest).
-  static constexpr std::size_t kRingCapacity = 128;
 
  private:
-  struct Post {
-    SimTime at = 0;         // absolute delivery time
-    SimTime posted_at = 0;  // poster's clock when the post was made
-    std::size_t poster = 0;
-    std::uint64_t seq = 0;  // per-poster monotone sequence
-    EventScope scope = EventScope::kLocal;
-    EventFn fn;
-  };
-  // The mailbox edge for one (poster, target) pair: a lock-free SPSC ring
-  // for the steady state, a mutex-guarded vector for overflow bursts.
-  // has_overflow lets the drain skip the lock entirely in the common case.
-  struct PairBox {
-    PairBox() : ring(kRingCapacity) {}
-    SpscRing<Post> ring;
-    std::mutex overflow_mutex;
-    std::vector<Post> overflow;
-    std::atomic<bool> has_overflow{false};
-  };
-
-  PairBox& pair_box(std::size_t target, std::size_t poster) noexcept {
-    return *pair_boxes_[target * shards_.size() + poster];
-  }
-
-  // One sequential merge step: fires the earliest event across shards
-  // (ties to the lowest shard index). Returns false when nothing is
-  // pending at or before `until`.
+  // One merge step: fires the earliest event across shards (ties to the
+  // lowest shard index). Returns false when nothing is pending at or
+  // before `until`.
   bool step_earliest(SimTime until);
-  void drain_mailbox(std::size_t target);
 
   SimTime now_ = 0;
   // unique_ptr: each shard's &now_ must stay valid, and Simulator is
   // intentionally non-copyable.
   std::vector<std::unique_ptr<Simulator>> shards_;
-  // Row-major [target][poster]; unique_ptr because PairBox (mutex, atomics,
-  // ring storage) is neither movable nor copyable.
-  std::vector<std::unique_ptr<PairBox>> pair_boxes_;
   std::vector<std::uint64_t> post_seq_;
   std::vector<std::size_t> events_;
-  // Reused across drains so sync points allocate nothing once the
-  // high-water capacity is reached.
-  std::vector<Post> drain_scratch_;
-  // Per-epoch event counts, per-shard wave bounds and the steal launch
-  // order - members so run_parallel itself is allocation-free in steady
-  // state.
-  std::vector<std::size_t> epoch_counts_;
-  std::vector<SimTime> wave_bounds_;
-  std::vector<std::size_t> steal_order_;
-  // True while workers are inside an epoch: posts buffer in the mailbox
-  // instead of scheduling straight through.
-  bool buffering_ = false;
-  bool steal_ = false;
-  std::size_t parallel_epochs_ = 0;
-  std::size_t horizon_stalls_ = 0;
-  std::size_t steals_ = 0;
-  std::atomic<std::size_t> overflow_posts_{0};
 };
 
 }  // namespace tsu::sim

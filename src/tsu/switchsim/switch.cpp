@@ -45,8 +45,6 @@ void SimSwitch::start_next() {
     processing = config_.barrier_processing;
   }
 
-  // kLocal: a switch only touches its own tables and its own channel, all
-  // of which live on this switch's shard (see sim/event_queue.hpp).
   // The captured epoch fences this completion across a crash: if the
   // process dies before the install lands, the event no-ops.
   auto completion = [this, message = std::move(message), epoch = epoch_]() {
@@ -64,7 +62,7 @@ void SimSwitch::start_next() {
   // within the event fabric's inline buffer or every install allocates.
   static_assert(sim::EventFn::fits_inline<decltype(completion)>(),
                 "switch completion closure outgrew the inline event buffer");
-  sim_.schedule(processing, std::move(completion), sim::EventScope::kLocal);
+  sim_.schedule(processing, std::move(completion));
 }
 
 void SimSwitch::complete(const proto::Message& message) {
@@ -121,8 +119,7 @@ void SimSwitch::maybe_flush_replies() {
   // churn (see sim/event_queue.hpp).
   if (reply_flush_scheduled_) sim_.cancel(reply_flush_event_);
   reply_flush_scheduled_ = true;
-  reply_flush_event_ = sim_.schedule(0, [this]() { flush_replies(); },
-                                     sim::EventScope::kLocal);
+  reply_flush_event_ = sim_.schedule(0, [this]() { flush_replies(); });
 }
 
 void SimSwitch::flush_replies() {

@@ -75,8 +75,8 @@ SwitchPartition make_greedy_cut_partition(
   if (partition.shards() <= 1 || node_count == 0) return partition;
 
   const std::size_t count = partition.shards();
-  // Balanced capacity: the parallel stepper is only as fast as its
-  // busiest shard, so the cut is minimized subject to even switch counts.
+  // Balanced capacity: the cut is minimized subject to even switch
+  // counts, so no shard's controller carries most of the switches.
   const std::size_t capacity = (node_count + count - 1) / count;
 
   // Adjacency of the affinity graph (merged parallel edges).

@@ -15,8 +15,7 @@
 //               cut of the workload's switch co-occurrence graph (switches
 //               touched by the same update want the same shard). Fewer cut
 //               edges means fewer cross-shard rounds for the coordinator
-//               to barrier on and wider safe horizons for the parallel
-//               stepper (sim/sharded.hpp).
+//               to barrier on.
 #pragma once
 
 #include <cstddef>

@@ -116,8 +116,6 @@ TEST(ConfigTest, RangeChecks) {
   EXPECT_FALSE(parse(R"({"shards": 0})").ok());
   EXPECT_FALSE(parse(R"({"shards": 257})").ok());
   EXPECT_FALSE(parse(R"({"partition": "modulo"})").ok());
-  EXPECT_FALSE(parse(R"({"speculate": 1})").ok());
-  EXPECT_FALSE(parse(R"({"steal": "yes"})").ok());
   EXPECT_FALSE(parse(R"({"switch": {"batch_replies": 1}})").ok());
   EXPECT_FALSE(parse(R"(42)").ok());
   EXPECT_FALSE(parse(R"(not json)").ok());
@@ -136,22 +134,28 @@ TEST(ConfigTest, ShardingKnobsParse) {
             controller::AdmissionRelease::kRound);
   EXPECT_TRUE(parsed.value().switch_config.batch_replies);
 
-  const Result<ExecutorConfig> optimized =
-      parse(R"({"speculate": true, "steal": true})");
-  ASSERT_TRUE(optimized.ok()) << optimized.error().to_string();
-  EXPECT_TRUE(optimized.value().controller.speculate);
-  EXPECT_TRUE(optimized.value().controller.steal);
-
-  // Defaults: the single controller, per-request release, plain replies,
-  // the parallel-stepper optimizations off.
+  // Defaults: the single controller, per-request release, plain replies.
   const Result<ExecutorConfig> defaults = parse("{}");
   ASSERT_TRUE(defaults.ok());
   EXPECT_EQ(defaults.value().controller.shards, 1u);
   EXPECT_EQ(defaults.value().controller.admission_release,
             controller::AdmissionRelease::kRequest);
   EXPECT_FALSE(defaults.value().switch_config.batch_replies);
-  EXPECT_FALSE(defaults.value().controller.speculate);
-  EXPECT_FALSE(defaults.value().controller.steal);
+}
+
+// The sharded clock has one stepper, so the old parallel-stepper knobs are
+// unknown fields, rejected even when their values are well-typed.
+TEST(ConfigTest, ParallelStepperKnobsAreUnknownFields) {
+  for (const char* doc :
+       {R"({"exec": "sequential"})", R"({"threads": 4})",
+        R"({"speculate": true})", R"({"steal": false})"}) {
+    const Result<ExecutorConfig> parsed = parse(doc);
+    ASSERT_FALSE(parsed.ok()) << doc;
+    EXPECT_EQ(parsed.error().code, Errc::kParseError) << doc;
+    EXPECT_NE(parsed.error().message.find("unknown config field"),
+              std::string::npos)
+        << doc;
+  }
 }
 
 TEST(ConfigTest, ControllerKnobsParse) {
@@ -199,14 +203,15 @@ TEST(ConfigTest, RoundTripThroughJson) {
   config.controller.admission_release = controller::AdmissionRelease::kRound;
   config.controller.shards = 4;
   config.controller.partition = topo::PartitionScheme::kBlock;
-  config.controller.speculate = true;
-  config.controller.steal = true;
   config.switch_config.batch_replies = true;
   config.with_traffic = false;
   config.ttl = 48;
   config.interval = sim::milliseconds(7);
 
-  const std::string rendered = json::write(config_to_json(config));
+  const json::Value doc = config_to_json(config);
+  for (const char* gone : {"exec", "threads", "speculate", "steal"})
+    EXPECT_FALSE(doc.as_object().contains(gone)) << gone;
+  const std::string rendered = json::write(doc);
   const Result<ExecutorConfig> reparsed =
       config_from_json(std::string_view(rendered));
   ASSERT_TRUE(reparsed.ok()) << rendered;
@@ -225,8 +230,6 @@ TEST(ConfigTest, RoundTripThroughJson) {
             controller::AdmissionRelease::kRound);
   EXPECT_EQ(c.controller.shards, 4u);
   EXPECT_EQ(c.controller.partition, topo::PartitionScheme::kBlock);
-  EXPECT_TRUE(c.controller.speculate);
-  EXPECT_TRUE(c.controller.steal);
   EXPECT_TRUE(c.switch_config.batch_replies);
   EXPECT_FALSE(c.with_traffic);
   EXPECT_EQ(c.ttl, 48);

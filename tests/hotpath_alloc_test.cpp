@@ -9,7 +9,7 @@
 //     pool" hot loop),
 //   - a full channel round-trip (pooled frame -> codec -> delivery event),
 //   - data-plane packet hops across live flow tables,
-//   - ShardedSim::run_parallel epochs with cross-shard ring posts.
+//   - ShardedSim::run() over cross-shard posts.
 //
 // Any new per-event allocation anywhere on these paths turns a green test
 // red with an exact count - the same counter the bench JSON publishes.
@@ -28,7 +28,6 @@
 #include "tsu/sim/event_queue.hpp"
 #include "tsu/sim/sharded.hpp"
 #include "tsu/sim/simulator.hpp"
-#include "tsu/sim/thread_pool.hpp"
 #include "tsu/switchsim/switch.hpp"
 #include "tsu/util/alloc_hooks.hpp"
 #include "tsu/util/rng.hpp"
@@ -171,23 +170,9 @@ TEST(HotPathAllocTest, SetupWatermarkFreezesTheSetupCount) {
   EXPECT_GT(alloc_hooks::setup_allocations(), mark);
 }
 
-// Self-perpetuating shard-local work: one event chain per shard keeps both
-// shards eligible so run_parallel uses the worker pool.
-struct Ticker {
-  sim::Simulator* shard = nullptr;
-  std::uint64_t remaining = 0;
-  std::uint64_t fired = 0;
-
-  void tick() {
-    ++fired;
-    if (remaining == 0) return;
-    --remaining;
-    shard->schedule(7, [this]() { tick(); }, sim::EventScope::kLocal);
-  }
-};
-
-// A packet-like hand-off bouncing between two shards through the SPSC
-// mailbox rings.
+// Self-perpetuating cross-shard work: each bounce posts the next one into
+// the sibling shard's remote band, like a packet hopping across a shard
+// boundary.
 struct Bouncer {
   sim::ShardedSim* group = nullptr;
   std::uint64_t remaining = 0;
@@ -203,47 +188,33 @@ struct Bouncer {
   }
 };
 
-TEST(HotPathAllocTest, ParallelEpochsAllocateNothingOnceWarm) {
-  // run_parallel steady state: horizon computation, pool dispatch, epoch
-  // stepping, ring posts and sync-point drains - all off warm pools. The
-  // warmup run pays every first-touch allocation (pool lanes, epoch
-  // counters, drain scratch, event arenas); the measured run must be free.
+TEST(HotPathAllocTest, CrossShardPostsAllocateNothingOnceWarm) {
+  // ShardedSim::run() steady state over cross-shard posts: the merge step
+  // and every remote-band push run off warm event arenas. The warmup run
+  // pays every first-touch allocation; the measured run must be free.
   sim::ShardedSim group(2);
-  sim::ThreadPool pool(2);
-  const sim::Duration lookahead = 10;  // lower-bounds the bounce post delay
-
-  Ticker tickers[2] = {{&group.shard(0), 2000}, {&group.shard(1), 2000}};
-  Bouncer bouncer{&group, 500};
-  group.schedule_on(0, 5, [&]() { tickers[0].tick(); },
-                    sim::EventScope::kLocal);
-  group.schedule_on(1, 5, [&]() { tickers[1].tick(); },
-                    sim::EventScope::kLocal);
-  group.schedule_on(0, 5, [&]() { bouncer.bounce(0); },
-                    sim::EventScope::kLocal);
-  group.run_parallel(pool, lookahead);
-  ASSERT_EQ(tickers[0].fired, 2001u);
-  ASSERT_EQ(bouncer.bounces, 501u);
-  ASSERT_GT(group.parallel_epochs(), 0u);
+  Bouncer bouncers[2] = {{&group, 500}, {&group, 500}};
+  const auto kick = [&]() {
+    group.schedule_on(0, 5, [&]() { bouncers[0].bounce(0); });
+    group.schedule_on(1, 5, [&]() { bouncers[1].bounce(1); });
+  };
+  kick();
+  group.run();
+  ASSERT_EQ(bouncers[0].bounces, 501u);
+  ASSERT_EQ(bouncers[1].bounces, 501u);
 
   // Identical workload again, this time under measurement. The kick
   // events are pushed BEFORE the window opens.
-  tickers[0].remaining = 2000;
-  tickers[1].remaining = 2000;
-  bouncer.remaining = 500;
-  group.schedule_on(0, 5, [&]() { tickers[0].tick(); },
-                    sim::EventScope::kLocal);
-  group.schedule_on(1, 5, [&]() { tickers[1].tick(); },
-                    sim::EventScope::kLocal);
-  group.schedule_on(0, 5, [&]() { bouncer.bounce(0); },
-                    sim::EventScope::kLocal);
+  bouncers[0].remaining = 500;
+  bouncers[1].remaining = 500;
+  kick();
   const std::uint64_t before = allocs();
-  group.run_parallel(pool, lookahead);
+  group.run();
   const std::uint64_t during = allocs() - before;
-  EXPECT_EQ(during, 0u) << "parallel epochs hit the allocator";
-  EXPECT_EQ(tickers[0].fired, 4002u);
-  EXPECT_EQ(bouncer.bounces, 1002u);
-  EXPECT_EQ(group.overflow_posts(), 0u)
-      << "the bounce stream should fit the SPSC rings";
+  EXPECT_EQ(during, 0u) << "cross-shard posts hit the allocator";
+  EXPECT_EQ(bouncers[0].bounces, 1002u);
+  EXPECT_EQ(bouncers[1].bounces, 1002u);
+  EXPECT_EQ(group.events_per_shard()[0], group.events_per_shard()[1]);
 }
 
 TEST(HotPathAllocTest, WarmCacheSubmissionWindowAllocatesNothing) {

@@ -159,32 +159,27 @@ TEST(RestParseTest, ShardingKnobsParsedAndApplied) {
   const Result<RestUpdateMessage> parsed = parse_update_message(
       R"({"oldpath": [1, 2], "newpath": [1, 2],
           "shards": 4, "partition": "block",
-          "admission_release": "round",
-          "speculate": true, "steal": true})");
+          "admission_release": "round"})");
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
   EXPECT_EQ(parsed.value().shards, 4u);
   EXPECT_EQ(parsed.value().partition, topo::PartitionScheme::kBlock);
   EXPECT_EQ(parsed.value().admission_release,
             controller::AdmissionRelease::kRound);
-  EXPECT_EQ(parsed.value().speculate, true);
-  EXPECT_EQ(parsed.value().steal, true);
 
   controller::ControllerConfig config;
   apply_controller_overrides(parsed.value(), config);
   EXPECT_EQ(config.shards, 4u);
   EXPECT_EQ(config.partition, topo::PartitionScheme::kBlock);
   EXPECT_EQ(config.admission_release, controller::AdmissionRelease::kRound);
-  EXPECT_TRUE(config.speculate);
-  EXPECT_TRUE(config.steal);
 
-  // Non-boolean speculation knobs are malformed, like every other typed
-  // header field.
-  EXPECT_FALSE(parse_update_message(
-                   R"({"oldpath": [1], "newpath": [1], "speculate": 1})")
-                   .ok());
-  EXPECT_FALSE(parse_update_message(
-                   R"({"oldpath": [1], "newpath": [1], "steal": "on"})")
-                   .ok());
+  // The sharded clock has one stepper: the old parallel-stepper knobs are
+  // unknown header fields, rejected even when well-typed.
+  for (const char* doc :
+       {R"({"oldpath": [1], "newpath": [1], "exec": "sequential"})",
+        R"({"oldpath": [1], "newpath": [1], "threads": 4})",
+        R"({"oldpath": [1], "newpath": [1], "speculate": true})",
+        R"({"oldpath": [1], "newpath": [1], "steal": false})"})
+    EXPECT_FALSE(parse_update_message(doc).ok()) << doc;
 
   // Absent sharding knobs leave the server's configuration alone.
   const Result<RestUpdateMessage> plain =
@@ -192,13 +187,12 @@ TEST(RestParseTest, ShardingKnobsParsedAndApplied) {
   ASSERT_TRUE(plain.ok());
   controller::ControllerConfig untouched;
   untouched.shards = 2;
-  untouched.speculate = true;
+  untouched.partition = topo::PartitionScheme::kGreedyCut;
   apply_controller_overrides(plain.value(), untouched);
   EXPECT_EQ(untouched.shards, 2u);
+  EXPECT_EQ(untouched.partition, topo::PartitionScheme::kGreedyCut);
   EXPECT_EQ(untouched.admission_release,
             controller::AdmissionRelease::kRequest);
-  EXPECT_TRUE(untouched.speculate);  // absent field leaves it alone
-  EXPECT_FALSE(untouched.steal);
 }
 
 TEST(RestParseTest, RejectsMissingPaths) {
@@ -295,8 +289,7 @@ TEST(RestRoundTripTest, ControllerKnobsSurviveRoundTrip) {
   message.shards = 4;
   message.partition = topo::PartitionScheme::kHash;
   message.admission_release = controller::AdmissionRelease::kRound;
-  message.speculate = true;
-  message.steal = false;
+  message.plan_cache = false;
   const Result<RestUpdateMessage> back =
       parse_update_message(to_json(message));
   ASSERT_TRUE(back.ok()) << to_json(message);
@@ -309,8 +302,7 @@ TEST(RestRoundTripTest, ControllerKnobsSurviveRoundTrip) {
   EXPECT_EQ(back.value().partition, topo::PartitionScheme::kHash);
   EXPECT_EQ(back.value().admission_release,
             controller::AdmissionRelease::kRound);
-  EXPECT_EQ(back.value().speculate, true);
-  EXPECT_EQ(back.value().steal, false);  // false is still an explicit value
+  EXPECT_EQ(back.value().plan_cache, false);  // false is an explicit value
 }
 
 TEST(RestToInstanceTest, MapsDatapathsToNodes) {

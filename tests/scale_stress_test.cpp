@@ -193,26 +193,6 @@ TEST(ScaleStressTest, ShardedFourWayMatchesSingleController) {
   // the sharded makespan stays within 2x of the single controller's.
   EXPECT_LE(sharded.value().makespan, single.value().makespan * 2);
 
-  // The parallel stepper at full scale: the same 4-shard run on a 4-thread
-  // pool must be bit-identical to the sequential merge - digest, frames,
-  // makespan and the per-shard event schedule.
-  config.controller.exec = sim::ExecMode::kParallel;
-  config.controller.threads = 4;
-  const Result<MultiFlowExecutionResult> parallel =
-      execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config);
-  ASSERT_TRUE(parallel.ok()) << parallel.error().to_string();
-  expect_zero_violations(parallel.value(), "sharded-4-parallel");
-  EXPECT_EQ(parallel.value().final_state_digest,
-            sharded.value().final_state_digest);
-  EXPECT_EQ(parallel.value().frames_sent, sharded.value().frames_sent);
-  EXPECT_EQ(parallel.value().makespan, sharded.value().makespan);
-  ASSERT_EQ(parallel.value().sharding.events_per_shard.size(), 4u);
-  for (std::size_t s = 0; s < 4; ++s)
-    EXPECT_EQ(parallel.value().sharding.events_per_shard[s],
-              sharded.value().sharding.events_per_shard[s])
-        << "shard " << s;
-  EXPECT_GT(parallel.value().sharding.parallel_epochs, 0u);
-
 #ifdef TSU_STRESS_SLIM
   (void)wall_start;
 #else
@@ -308,9 +288,8 @@ TEST(ScaleStressTest, ChaosSweepFindsNoTransientViolations) {
 
 TEST(ScaleStressTest, ChaosAtFullScaleStaysConsistent) {
   // A few random fault schedules against the full pool, single controller
-  // and the 4-shard sequential-vs-parallel pair. The sharded runs must
-  // stay bit-identical to each other under faults, and every trace passes
-  // the oracle.
+  // and 4 shards. Both must converge to the same forwarding state under
+  // faults, and every trace passes the oracle.
   const auto wall_start = std::chrono::steady_clock::now();
   const topo::PlannedPoolWorkload w =
       topo::planned_pool_workload(kFlows, kSwitches).value();
@@ -356,25 +335,10 @@ TEST(ScaleStressTest, ChaosAtFullScaleStaysConsistent) {
         << sharded_report.to_string() << "\nreplay: " << replay;
 
     // Fault recovery converges to the same forwarding state sharded or
-    // not, and the parallel stepper stays bit-identical under faults.
+    // not.
     EXPECT_EQ(sharded.value().final_state_digest,
               single.value().final_state_digest)
         << "seed " << seed << "\nreplay: " << replay;
-    config.controller.exec = sim::ExecMode::kParallel;
-    config.controller.threads = 4;
-    const Result<MultiFlowExecutionResult> parallel =
-        execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config);
-    ASSERT_TRUE(parallel.ok())
-        << parallel.error().to_string() << "\nreplay: " << replay;
-    EXPECT_EQ(parallel.value().final_state_digest,
-              sharded.value().final_state_digest)
-        << "seed " << seed << "\nreplay: " << replay;
-    EXPECT_EQ(parallel.value().frames_sent, sharded.value().frames_sent);
-    EXPECT_EQ(parallel.value().makespan, sharded.value().makespan);
-    EXPECT_EQ(parallel.value().faults.resyncs,
-              sharded.value().faults.resyncs);
-    EXPECT_EQ(parallel.value().faults.resync_frames,
-              sharded.value().faults.resync_frames);
   }
 
 #ifdef TSU_STRESS_SLIM

@@ -1,15 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "tsu/sim/distributions.hpp"
 #include "tsu/sim/event_queue.hpp"
+#include "tsu/sim/inline_fn.hpp"
 #include "tsu/sim/sharded.hpp"
 #include "tsu/sim/simulator.hpp"
-#include "tsu/sim/thread_pool.hpp"
 
 namespace tsu::sim {
 namespace {
@@ -273,54 +275,121 @@ TEST(SimulatorDeathTest, SchedulingIntoPastAsserts) {
 
 // ----------------------------------------------------------- sharded sim --
 
-TEST(ShardedSimTest, IdleSiblingEchoKeepsShardZeroInTimeOrder) {
-  // Regression for the per-shard wave bound's round-trip cap: shard 0
-  // carries a dense chain of local events while shard 1 is completely idle
-  // (no pending events, no kShared work anywhere). One early shard-0 event
-  // posts a hand-off to shard 1 whose handler immediately echoes back at
-  // +2*lookahead. Without the N_i + 2*lookahead term the sibling-only
-  // bound is unbounded here, shard 0 runs its whole chain in one epoch,
-  // and the echo is delivered BELOW events shard 0 already executed -
-  // execution order diverges from the sequential merger (and trips the
-  // push_remote frontier assert). With the cap, both modes must record
-  // the identical shard-0 execution sequence.
-  constexpr Duration kLookahead = 10;
-  constexpr std::uint64_t kChain = 100;
-  auto run_one = [](bool parallel) {
-    ShardedSim group(2);
-    std::vector<SimTime> order;  // shard-0 executions only: no cross-shard
-                                 // writes, so epochs never race on it
-    std::uint64_t remaining = kChain;
-    std::function<void()> tick = [&]() {
-      order.push_back(group.shard(0).now());
-      if (remaining == 0) return;
-      --remaining;
-      group.shard(0).schedule(1, [&]() { tick(); }, EventScope::kLocal);
-    };
-    group.schedule_on(0, 5, [&]() { tick(); }, EventScope::kLocal);
-    group.schedule_on(
-        0, 5,
-        [&]() {
-          group.post(1, 0, group.shard(0).now() + kLookahead, [&]() {
-            group.post(0, 1, group.shard(1).now() + kLookahead,
-                       [&]() { order.push_back(group.shard(0).now()); });
-          });
-        },
-        EventScope::kLocal);
-    if (parallel) {
-      ThreadPool pool(2);
-      group.run_parallel(pool, kLookahead);
-    } else {
-      group.run();
-    }
-    return order;
+TEST(ShardedSimTest, CrossShardPostsFireAfterNativesInPostKeyOrder) {
+  // Pins the sequential multi-shard order. A post delivered at t fires
+  // after every native event of its target at t - even one scheduled after
+  // the post was made - and same-instant posts fire by (post time, poster,
+  // per-poster sequence), not by the order they entered the queue.
+  ShardedSim group(3);
+  std::vector<std::string> log;
+  const auto note = [&](const char* label) {
+    return [&log, label]() { log.push_back(label); };
   };
-  const std::vector<SimTime> sequential = run_one(false);
-  const std::vector<SimTime> parallel = run_one(true);
-  ASSERT_EQ(sequential.size(), kChain + 2);  // chain ticks + the echo
-  EXPECT_TRUE(std::is_sorted(parallel.begin(), parallel.end()))
-      << "shard 0 executed an echoed hand-off below its own frontier";
-  EXPECT_EQ(parallel, sequential);
+  // t=1, shard 1: a post into shard 0 at t=10, made BEFORE the native
+  // event shard 0 schedules for t=10 at t=5.
+  group.schedule_on(1, 1, [&]() { group.post(0, 1, 10, note("post@10")); });
+  group.schedule_on(0, 5,
+                    [&]() { group.shard(0).schedule(5, note("native@10")); });
+  // t=1, shard 2: the earliest post into t=20 (posted_at 1, poster 2).
+  group.schedule_on(2, 1, [&]() { group.post(0, 2, 20, note("p2@1")); });
+  // t=2, shard 2: posts into t=20 first, then hands shard 1 a same-instant
+  // event that posts twice into t=20. Queue entry order is p2@2, p1@2a,
+  // p1@2b; key order puts poster 1 ahead of poster 2 at posted_at 2.
+  group.schedule_on(2, 2, [&]() {
+    group.post(0, 2, 20, note("p2@2"));
+    group.post(1, 2, 2, [&]() {
+      group.post(0, 1, 20, note("p1@2a"));
+      group.post(0, 1, 20, note("p1@2b"));
+    });
+  });
+  // t=15, shard 0: a native event at t=20, scheduled after every post.
+  group.schedule_on(0, 15,
+                    [&]() { group.shard(0).schedule(5, note("native@20")); });
+  group.run();
+  const std::vector<std::string> expected = {
+      "native@10", "post@10", "native@20", "p2@1",
+      "p1@2a",     "p1@2b",   "p2@2"};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(group.now(), 20);
+}
+
+// ------------------------------------------------------------- InlineFn --
+
+TEST(InlineFnTest, SmallClosureStaysInline) {
+  int hits = 0;
+  InlineFn fn([&hits]() { ++hits; });
+  ASSERT_TRUE(static_cast<bool>(fn));
+  EXPECT_TRUE(fn.is_inline());
+  fn();
+  fn();
+  EXPECT_EQ(hits, 2);
+}
+
+TEST(InlineFnTest, OversizedClosureFallsBackToHeap) {
+  struct Big {
+    std::byte pad[InlineFn::kInlineSize + 64];
+  };
+  Big big{};
+  big.pad[0] = std::byte{42};
+  int result = 0;
+  InlineFn fn([big, &result]() {
+    result = static_cast<int>(big.pad[0]);
+  });
+  EXPECT_FALSE(fn.is_inline());
+  fn();
+  EXPECT_EQ(result, 42);
+}
+
+TEST(InlineFnTest, MoveTransfersClosure) {
+  auto probe = std::make_shared<int>(5);
+  InlineFn a([probe]() { ++*probe; });
+  EXPECT_EQ(probe.use_count(), 2);
+  InlineFn b(std::move(a));
+  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(use-after-move): spec'd empty
+  EXPECT_EQ(probe.use_count(), 2);     // moved, not copied
+  b();
+  EXPECT_EQ(*probe, 6);
+  InlineFn c;
+  c = std::move(b);
+  c();
+  EXPECT_EQ(*probe, 7);
+  c.reset();
+  EXPECT_EQ(probe.use_count(), 1);
+}
+
+TEST(InlineFnTest, ResetDestroysClosureImmediately) {
+  // The eager-cancel contract: reset() must release captured resources
+  // NOW, not at the InlineFn's destruction.
+  auto probe = std::make_shared<int>(1);
+  InlineFn fn([probe]() {});
+  EXPECT_EQ(probe.use_count(), 2);
+  fn.reset();
+  EXPECT_EQ(probe.use_count(), 1);
+  EXPECT_FALSE(static_cast<bool>(fn));
+}
+
+TEST(InlineFnTest, HeapClosureResetReleases) {
+  struct Big {
+    std::shared_ptr<int> probe;
+    std::byte pad[InlineFn::kInlineSize];
+    void operator()() {}
+  };
+  auto probe = std::make_shared<int>(1);
+  InlineFn fn(Big{probe, {}});
+  EXPECT_FALSE(fn.is_inline());
+  EXPECT_EQ(probe.use_count(), 2);
+  fn.reset();
+  EXPECT_EQ(probe.use_count(), 1);
+}
+
+TEST(InlineFnTest, MoveAssignReleasesPreviousClosure) {
+  auto old_probe = std::make_shared<int>(1);
+  auto new_probe = std::make_shared<int>(2);
+  InlineFn fn([old_probe]() {});
+  EXPECT_EQ(old_probe.use_count(), 2);
+  fn = InlineFn([new_probe]() {});
+  EXPECT_EQ(old_probe.use_count(), 1);  // previous closure destroyed
+  EXPECT_EQ(new_probe.use_count(), 2);
 }
 
 // ------------------------------------------------------------- time utils --

@@ -10,7 +10,7 @@ document that binary writes with --json:
     { "bench_queue": {...}, "bench_multi_policy": {...} }
 
 Each fresh document is matched to its baseline section by the document's
-"bench" identifier string. Two objects of each document are gated;
+"bench" identifier string. The sections below are gated;
 everything else in the JSON is trajectory data for humans.
 
 The "hotpath" object:
@@ -27,16 +27,6 @@ The "hotpath" object:
                                  baseline is zero and a single allocation
                                  creeping back into the hot path trips
                                  the gate exactly.
-
-The "parallel" array (entries matched by shards/partition/exec/opt; only
-exec = "parallel" entries carry the gated key):
-
-  * serial_fraction              horizon stalls over total events - the
-                                 fraction of the parallel run spent
-                                 single-stepping at a sync point instead
-                                 of running epochs. Deterministic per
-                                 seed, so it gates at the ns tolerance
-                                 against creeping re-serialization.
 
 The "open_loop" array (entries matched by "label"):
 
@@ -78,7 +68,6 @@ NS_KEY = "ns_per_event"
 ALLOC_KEY = "steady_allocs"
 THROUGHPUT_KEY = "sustained_per_sec"
 LEFTOVER_KEY = "steady_state_entries_final"
-SERIAL_KEY = "serial_fraction"
 RATIO_KEY = "warm_cold_ratio"
 DEFAULT_TOLERANCE = 0.10
 WARM_COLD_LIMIT = 0.7
@@ -161,63 +150,6 @@ def by_label(entries):
         for e in entries
         if isinstance(e, dict) and isinstance(e.get("label"), str)
     }
-
-
-def parallel_label(entry):
-    opt = "on" if entry.get("speculate") else "off"
-    return (f"{entry.get('shards')}shards/{entry.get('partition')}/"
-            f"{entry.get('exec')}/opt={opt}")
-
-
-def check_parallel(name, base_doc, fresh_doc, tolerance):
-    """Gates serial_fraction on the parallel-exec entries."""
-    failures = []
-    base_entries = base_doc.get("parallel")
-    if not isinstance(base_entries, list):
-        print(f"  {name}/parallel: no baseline section - passes; "
-              "regenerate the baseline to start gating it")
-        return failures
-    fresh_entries = fresh_doc.get("parallel")
-    if not isinstance(fresh_entries, list):
-        return [f"{name}/parallel: present in baseline but missing from "
-                "the fresh run"]
-
-    def gated(entries):
-        return {
-            parallel_label(e): e
-            for e in entries
-            if isinstance(e, dict) and isinstance(e.get(SERIAL_KEY),
-                                                  (int, float))
-        }
-
-    base_map, fresh_map = gated(base_entries), gated(fresh_entries)
-    for label in sorted(set(base_map) | set(fresh_map)):
-        base = base_map.get(label)
-        fresh = fresh_map.get(label)
-        if base is None:
-            print(f"  {name}/parallel/{label}: new scenario (no baseline) "
-                  "- passes")
-            continue
-        if fresh is None:
-            failures.append(
-                f"{name}/parallel/{label}: present in baseline but missing "
-                "from the fresh run")
-            continue
-        base_sf, fresh_sf = base[SERIAL_KEY], fresh[SERIAL_KEY]
-        # The fraction is deterministic per seed; the tolerance only
-        # absorbs float formatting, not runner noise. A zero baseline
-        # (fully stall-free) must stay zero.
-        limit = base_sf * (1.0 + tolerance) + 1e-9
-        verdict = "ok" if fresh_sf <= limit else "REGRESSION"
-        print(f"  {name}/parallel/{label}: serial fraction {fresh_sf:.4f} "
-              f"vs baseline {base_sf:.4f} (tolerance +{tolerance:.0%}) "
-              f"{verdict}")
-        if verdict != "ok":
-            failures.append(
-                f"{name}/parallel/{label}: serial fraction regressed "
-                f"{base_sf:.4f} -> {fresh_sf:.4f} (the parallel stepper is "
-                "re-serializing)")
-    return failures
 
 
 def check_open_loop(name, base_doc, fresh_doc, tolerance):
@@ -341,7 +273,6 @@ def main(argv):
         name, base_doc = baseline_section_for(baseline, bench_id, fresh_path)
         print(f"{name} ({fresh_path}):")
         failures.extend(check_document(name, base_doc, fresh_doc, tolerance))
-        failures.extend(check_parallel(name, base_doc, fresh_doc, tolerance))
         failures.extend(
             check_open_loop(name, base_doc, fresh_doc, tolerance))
         failures.extend(check_submission_path(name, base_doc, fresh_doc))
