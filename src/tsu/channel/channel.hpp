@@ -8,11 +8,16 @@
 // overtakes an earlier one); loss is modelled as TCP would surface it, as an
 // extra retransmission delay rather than an actual drop.
 //
-// Frames are round-tripped through the binary codec on every send, so the
-// wire format is exercised by every simulation, not just by codec tests.
-// Frame buffers are pooled: a send encodes into a recycled vector (capacity
-// retained) and the delivery event returns it to the pool, so steady-state
-// traffic allocates nothing once buffers hit their high-water size.
+// Every frame crosses the channel as encoded bytes and is decoded on
+// delivery, so the wire format is exercised by every simulation, not just
+// by codec tests. The controller->switch direction is bytes-only
+// (send_frame): the controller hands over frames it already holds encoded
+// - compiled-plan frames, outbox batches - plus the xid to patch in. The
+// switch->controller direction sends Messages, which the channel encodes.
+// Frame buffers are pooled: a send copies or encodes into a recycled
+// vector (capacity retained) and the delivery event returns it to the
+// pool, so steady-state traffic allocates nothing once buffers hit their
+// high-water size.
 #pragma once
 
 #include <cstdint>
@@ -45,16 +50,15 @@ class ControlChannel {
 
   void set_receiver(DeliverFn receiver) { receiver_ = std::move(receiver); }
 
-  // Enqueues `message` for delivery to the receiver side.
+  // Enqueues `message` for delivery to the receiver side (encoded here).
   void send(const proto::Message& message);
 
-  // Zero-encode variant for the compiled-plan submission path: `bytes` is
-  // a complete pre-encoded frame (single message, never a batch) whose xid
-  // field is patched to `xid` after copying into a pooled buffer - the
-  // caller's bytes stay immutable. Delivery is byte-identical to send() of
-  // the equivalent message: same counters, same single latency sample,
+  // Enqueues a complete encoded frame - a single message or a Batch -
+  // whose xid field is patched to `xid` after copying into a pooled buffer;
+  // the caller's bytes stay immutable. Delivery is byte-identical to send()
+  // of the equivalent message: same counters, same single latency sample,
   // same FIFO clamp, same fault gates.
-  void send_encoded(std::span<const std::byte> bytes, std::uint32_t xid);
+  void send_frame(std::span<const std::byte> bytes, std::uint32_t xid);
 
   // --- fault injection (sim/faults.hpp; inert unless driven) -----------
   // Link outage: frames sent while down are dropped at the sender (the TCP
@@ -84,15 +88,15 @@ class ControlChannel {
   std::size_t messages_sent() const noexcept { return messages_sent_; }
 
  private:
-  // Shared fault gate: returns true when the frame was consumed by an
-  // outage or blackhole window (counted in frames_dropped_). `barrier` is
-  // whether the frame carries a barrier request - blackhole windows only
-  // close on barrier boundaries.
-  bool faulted_drop(bool barrier);
-  // Shared back half of send()/send_encoded(): counts the frame, samples
-  // one latency (plus loss retransmits) and schedules the FIFO-clamped
-  // delivery event that decodes and hands the message to the receiver.
-  void transmit(std::vector<std::byte>&& frame, std::size_t messages);
+  // Fault gate: returns true when the frame was consumed by an outage or
+  // blackhole window (counted in frames_dropped_). Blackhole windows only
+  // close on a frame that is or contains a barrier request.
+  bool faulted_drop(std::span<const std::byte> frame);
+  // Shared back half of send()/send_frame(): passes the fault gate, counts
+  // the frame, samples one latency (plus loss retransmits) and schedules
+  // the FIFO-clamped delivery event that decodes and hands the message to
+  // the receiver.
+  void transmit(std::vector<std::byte>&& frame);
 
   // Frame-buffer pool. acquire hands out a cleared vector that keeps its
   // high-water capacity; release returns it after delivery (or epoch drop).

@@ -25,6 +25,9 @@ std::optional<AdmissionPolicy> admission_policy_from_string(
 
 Footprint Footprint::of(const UpdateRequest& request) {
   Footprint footprint;
+  std::size_t ops = 0;
+  for (const std::vector<RoundOp>& round : request.rounds) ops += round.size();
+  footprint.reserve(ops);
   for (const std::vector<RoundOp>& round : request.rounds)
     for (const RoundOp& op : round)
       footprint.add(RuleRef{op.node, op.mod.table, op.mod.match});
@@ -256,7 +259,7 @@ const std::vector<AdmissionQueue::Id>& AdmissionQueue::release(Id id) {
 }
 
 const std::vector<AdmissionQueue::Id>& AdmissionQueue::release_rules(
-    Id id, const std::vector<RuleRef>& rules) {
+    Id id, std::span<const RuleRef> rules) {
   unblocked_scratch_.clear();
   if (policy_ != AdmissionPolicy::kConflictAware || rules.empty())
     return unblocked_scratch_;

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -122,8 +123,7 @@ class AdmissionQueue {
   // arrival order (same scratch-aliasing contract as release). Only
   // meaningful under kConflictAware (the other policies track no
   // footprints); a later release(id) finishes the job.
-  const std::vector<Id>& release_rules(Id id,
-                                       const std::vector<RuleRef>& rules);
+  const std::vector<Id>& release_rules(Id id, std::span<const RuleRef> rules);
 
   std::size_t live() const noexcept { return entries_.size(); }
   // Live requests currently blocked on at least one conflict.

@@ -76,11 +76,6 @@ void Controller::attach_switch(NodeId node, SendFn send) {
   switches_[node] = std::move(send);
 }
 
-void Controller::attach_switch_encoded(NodeId node, SendEncodedFn send) {
-  TSU_ASSERT_MSG(send != nullptr, "null encoded switch link");
-  encoded_switches_[node] = std::move(send);
-}
-
 Controller::ActiveUpdate& Controller::insert_active(UpdateId id) {
   if (active_pool_.empty())
     return active_.emplace(id, ActiveUpdate{}).first->second;
@@ -99,8 +94,7 @@ void Controller::recycle_active(ActiveMap::iterator it) {
   slot.coordinated = false;
   slot.token = 0;
   slot.system = false;
-  // request / metrics / release_plan keep their buffers; the next occupant
-  // assigns over them.
+  // metrics keeps its buffers; the next occupant assigns over them.
   active_pool_.push_back(std::move(node));
 }
 
@@ -121,52 +115,45 @@ void Controller::recycle_waiting(WaitingMap::iterator it) {
 }
 
 void Controller::submit(UpdateRequest request) {
-  PendingUpdate pending;
-  pending.id = update_counter_++;
-  pending.metrics.name = request.name;
-  pending.metrics.flow = request.flow;
-  pending.metrics.priority_class = request.priority_class;
-  pending.metrics.submitted = sim_.now();
-  pending.metrics.enqueued = request.enqueued.value_or(sim_.now());
-  // Register in the conflict DAG before anything can start: a later
-  // submission must see this request's footprint. Only conflict-aware
-  // admission reads footprints; don't compute them for the other policies.
-  admission_.submit(pending.id,
-                    config_.admission == AdmissionPolicy::kConflictAware
-                        ? Footprint::of(request)
-                        : Footprint{});
-  pending.request = std::move(request);
-  queue_.push_back(std::move(pending));
-  maybe_start_next_request();
+  const std::uint8_t priority_class = request.priority_class;
+  const std::optional<sim::SimTime> enqueued = request.enqueued;
+  submit_plan(compile_plan(std::move(request), resync_generation_),
+              priority_class, enqueued);
 }
 
 void Controller::submit_plan(std::shared_ptr<const CompiledPlan> plan,
                              std::uint8_t priority_class,
                              std::optional<sim::SimTime> enqueued) {
+  enqueue(std::move(plan), priority_class, enqueued);
+  maybe_start_next_request();
+}
+
+Controller::PendingUpdate& Controller::enqueue(
+    std::shared_ptr<const CompiledPlan> plan, std::uint8_t priority_class,
+    std::optional<sim::SimTime> enqueued) {
   TSU_ASSERT_MSG(plan != nullptr, "null compiled plan");
-  // A plan-backed pending entry owns no heap state (the plan carries the
-  // request), so filling a warm queue slot allocates nothing.
+  // A pending entry owns no heap state (the plan carries the request), so
+  // filling a warm queue slot allocates nothing.
   queue_.emplace_back();
   PendingUpdate& pending = queue_.back();
   pending.id = update_counter_++;
-  // The empty request doubles as the per-submission parameter stash: the
-  // start scan reads priority_class off it, and a rollback resubmission
-  // reads both back when re-materializing the request.
-  pending.request.priority_class = priority_class;
-  pending.request.enqueued = enqueued;
+  pending.enqueued = enqueued;
   pending.metrics.flow = plan->request.flow;
   pending.metrics.priority_class = priority_class;
   pending.metrics.submitted = sim_.now();
   pending.metrics.enqueued = enqueued.value_or(sim_.now());
   // metrics.name is deferred to start_pending (copied from the plan into
   // pooled storage), keeping this slot heap-free.
+  // Register in the conflict DAG before anything can start: a later
+  // submission must see this request's footprint. Only conflict-aware
+  // admission reads footprints.
   static const Footprint kNoFootprint;
   admission_.submit(pending.id,
                     config_.admission == AdmissionPolicy::kConflictAware
                         ? plan->footprint
                         : kNoFootprint);
   pending.plan = std::move(plan);
-  maybe_start_next_request();
+  return pending;
 }
 
 void Controller::maybe_start_next_request() {
@@ -187,11 +174,11 @@ void Controller::maybe_start_next_request() {
     for (auto it = queue_.begin(); it != queue_.end(); ++it) {
       if (it->held) continue;
       if (best != queue_.end() &&
-          it->request.priority_class >= best->request.priority_class)
+          it->metrics.priority_class >= best->metrics.priority_class)
         continue;
       if (!admission_.admissible(it->id)) continue;
       best = it;
-      if (best->request.priority_class == 0) break;
+      if (best->metrics.priority_class == 0) break;
     }
     if (best != queue_.end()) {
       start_pending(best);
@@ -204,69 +191,42 @@ void Controller::start_pending(std::vector<PendingUpdate>::iterator it) {
   const UpdateId id = it->id;
   ActiveUpdate& active = insert_active(id);
   active.plan = std::move(it->plan);
-  active.request = std::move(it->request);
+  active.enqueued = it->enqueued;
   // Copy, not move: the pooled entry's string/vector buffers are reused,
-  // and a plan-backed pending's metrics hold nothing worth stealing.
+  // and a pending entry's metrics hold nothing worth stealing.
   active.metrics = it->metrics;
-  if (active.plan != nullptr) active.metrics.name = active.plan->request.name;
+  active.metrics.name = active.plan->request.name;
   active.metrics.started = sim_.now();
   active.coordinated = it->held;
   active.token = it->token;
-  // Per-round footprint release only means anything when footprints exist
-  // (conflict-aware) and rounds complete one at a time (barriers on).
-  if (config_.admission_release == AdmissionRelease::kRound &&
-      config_.admission == AdmissionPolicy::kConflictAware &&
-      config_.use_barriers) {
-    if (active.plan != nullptr)
-      // Copy-assign: a recycled entry's slices keep their capacity.
-      active.release_plan = active.plan->release_plan;
-    else
-      active.release_plan = round_release_plan(active.request);
-  } else {
-    active.release_plan.clear();
-  }
   queue_.erase(it);
   max_in_flight_observed_ = std::max(max_in_flight_observed_, active_.size());
   start_round(id);
 }
 
 void Controller::release_completed_round_rules(UpdateId id) {
-  const auto it = active_.find(id);
-  TSU_ASSERT(it != active_.end());
-  ActiveUpdate& active = it->second;
-  if (active.release_plan.empty()) return;
-  const std::size_t round = active.next_round - 1;  // the just-completed one
-  if (round >= active.release_plan.size()) return;
-  // Copy the slice into the member scratch and clear it in place: starting
-  // an unblocked request below can rehash active_ (invalidating the
-  // reference), and clearing - not moving - keeps the slice's capacity for
-  // the pooled entry's next occupant.
-  release_rules_scratch_ = active.release_plan[round];
-  active.release_plan[round].clear();
-  if (release_rules_scratch_.empty()) return;
-  if (admission_.release_rules(id, release_rules_scratch_).empty()) return;
+  if (!per_round_release_) return;
+  const ActiveUpdate& active = active_.at(id);
+  // Rollback unwinds never entered admission.
+  if (active.system) return;
+  // The slice lives in the immutable plan, which the entry keeps alive
+  // through the release; starting unblocked requests comes after.
+  const std::span<const RuleRef> rules =
+      active.plan->release_slice(active.next_round - 1);
+  if (rules.empty()) return;
+  if (admission_.release_rules(id, rules).empty()) return;
   maybe_start_next_request();
   if (hooks_ != nullptr) hooks_->on_progress(shard_id_);
 }
 
-void Controller::submit_coordinated(UpdateRequest request,
+void Controller::submit_coordinated(std::shared_ptr<const CompiledPlan> plan,
+                                    std::uint8_t priority_class,
+                                    std::optional<sim::SimTime> enqueued,
                                     std::uint64_t token) {
-  PendingUpdate pending;
-  pending.id = update_counter_++;
+  PendingUpdate& pending = enqueue(std::move(plan), priority_class, enqueued);
   pending.held = true;
   pending.token = token;
-  pending.metrics.name = request.name;
-  pending.metrics.flow = request.flow;
-  pending.metrics.priority_class = request.priority_class;
-  pending.metrics.submitted = sim_.now();
-  pending.metrics.enqueued = request.enqueued.value_or(sim_.now());
-  admission_.submit(pending.id,
-                    config_.admission == AdmissionPolicy::kConflictAware
-                        ? Footprint::of(request)
-                        : Footprint{});
-  pending.request = std::move(request);
   coordinated_ids_[token] = pending.id;
-  queue_.push_back(std::move(pending));
   // No start attempt: a held entry adds no start opportunity for the local
   // queue, and its own start is the coordinator's call.
 }
@@ -298,7 +258,7 @@ void Controller::release_round(std::uint64_t token) {
   const UpdateId id = id_it->second;
   const auto it = active_.find(id);
   TSU_ASSERT_MSG(it != active_.end(), "round release of an inactive update");
-  const sim::Duration interval = request_of(it->second).interval;
+  const sim::Duration interval = it->second.plan->request.interval;
   if (interval == 0) {
     start_round(id);
   } else {
@@ -316,23 +276,37 @@ sim::Duration Controller::adaptive_window() const noexcept {
   return config_.batch_window * pressure / kAdaptiveSaturation;
 }
 
-void Controller::send_to_switch(NodeId node, proto::Message message) {
-  const auto it = switches_.find(node);
-  TSU_ASSERT_MSG(it != switches_.end(), "message for unattached switch");
+void Controller::send_flow_mod(NodeId node, const proto::FlowMod& mod,
+                               std::span<const std::byte> frame, Xid xid) {
   // Fault tolerance: every FlowMod headed for the wire - round ops,
   // retries, resync pushes, rollback undos - commits to the shadow and the
   // unfenced log here, before batching can obscure it.
-  if (fault_tolerance() && message.type() == proto::MsgType::kFlowMod)
-    record_send(node, std::get<proto::FlowMod>(message.body));
+  if (fault_tolerance()) record_send(node, mod);
+  send_frame(node, frame, xid);
+}
+
+void Controller::push_flow_mod(NodeId node, const proto::FlowMod& mod) {
+  const Xid xid = next_xid();
+  proto::encode_into(proto::make_flow_mod(xid, mod), encode_scratch_);
+  send_flow_mod(node, mod, encode_scratch_, xid);
+  retire_xid(xid);
+}
+
+void Controller::send_frame(NodeId node, std::span<const std::byte> frame,
+                            Xid xid) {
+  const auto it = switches_.find(node);
+  TSU_ASSERT_MSG(it != switches_.end(), "frame for unattached switch");
   if (config_.batch_mode == BatchMode::kOff) {
-    it->second(message);
+    it->second(frame, xid);
     return;
   }
 
   Outbox& box = outbox_[node];
-  const std::size_t bytes = proto::encoded_size(message);
-  box.bytes += bytes;
-  box.entries.push_back(OutboxEntry{std::move(message), sim_.now(), bytes});
+  const std::size_t offset = box.frames.size();
+  box.entries.push_back(
+      OutboxEntry{static_cast<std::uint32_t>(offset), xid, sim_.now()});
+  box.frames.insert(box.frames.end(), frame.begin(), frame.end());
+  proto::patch_xid(std::span<std::byte>(box.frames).subspan(offset), xid);
 
   if (config_.batch_mode == BatchMode::kInstant) {
     // Same-instant coalescing: one zero-delay event ships every outbox.
@@ -348,14 +322,14 @@ void Controller::send_to_switch(NodeId node, proto::Message message) {
 
   // kWindow / kAdaptive: the byte budget (or frame cap) force-flushes
   // ahead of the hold window...
-  if (box.bytes >= config_.batch_bytes ||
+  if (box.frames.size() >= config_.batch_bytes ||
       box.entries.size() >= proto::kMaxBatchMessages) {
     flush_switch(node, FlushTrigger::kBudget);
     return;
   }
-  // ...otherwise the first message of a fill arms the cancellable flush
+  // ...otherwise the first frame of a fill arms the cancellable flush
   // timer. Arming on first-touch is what bounds the hold: every later
-  // message of this fill waits strictly less than the full window.
+  // frame of this fill waits strictly less than the full window.
   if (!box.timer_armed) {
     box.timer_armed = true;
     const sim::Duration window = config_.batch_mode == BatchMode::kAdaptive
@@ -382,42 +356,44 @@ void Controller::flush_switch(NodeId node, FlushTrigger trigger) {
     case FlushTrigger::kBudget: ++budget_flushes_; break;
   }
 
-  flush_scratch_.clear();
-  std::vector<OutboxEntry>& entries = flush_scratch_;
-  entries.swap(box.entries);
-  box.bytes = 0;
+  const std::vector<OutboxEntry>& entries = box.entries;
   const sim::SimTime now = sim_.now();
   for (const OutboxEntry& entry : entries)
     max_hold_ = std::max(max_hold_, now - entry.enqueued);
+  const auto end_of = [&](std::size_t i) -> std::size_t {
+    return i + 1 < entries.size() ? entries[i + 1].offset : box.frames.size();
+  };
 
+  // Sends are scheduled deliveries, never synchronous callbacks into this
+  // controller, so the outbox is stable until it is cleared below.
   const SendFn& send = switches_.at(node);
+  const std::span<const std::byte> frames(box.frames);
   std::size_t begin = 0;
   while (begin < entries.size()) {
     // Grow the chunk until either frame limit would be crossed.
     std::size_t end = begin + 1;
-    std::size_t chunk_bytes = entries[begin].bytes;
     while (end < entries.size() && end - begin < proto::kMaxBatchMessages &&
-           chunk_bytes + entries[end].bytes <= kMaxBatchBytes) {
-      chunk_bytes += entries[end].bytes;
+           end_of(end) - entries[begin].offset <= kMaxBatchBytes)
       ++end;
-    }
-    // A chunk of one (lone message, or the tail of a split) gains nothing
+    const std::size_t offset = entries[begin].offset;
+    const std::span<const std::byte> chunk =
+        frames.subspan(offset, end_of(end - 1) - offset);
+    // A chunk of one (lone frame, or the tail of a split) gains nothing
     // from batch framing: send it plain.
     if (end - begin == 1) {
-      send(entries[begin].message);
+      send(chunk, entries[begin].xid);
     } else {
-      std::vector<proto::Message> chunk;
-      chunk.reserve(end - begin);
-      for (std::size_t i = begin; i < end; ++i)
-        chunk.push_back(std::move(entries[i].message));
-      messages_coalesced_ += chunk.size();
+      messages_coalesced_ += end - begin;
       ++batches_sent_;
       const Xid xid = next_xid();
-      send(proto::make_batch(xid, std::move(chunk)));
+      proto::encode_batch_into(xid, end - begin, chunk, batch_scratch_);
+      send(batch_scratch_, xid);
       retire_xid(xid);  // nothing routes on batch xids
     }
     begin = end;
   }
+  box.entries.clear();
+  box.frames.clear();
 }
 
 void Controller::flush_all(FlushTrigger trigger) {
@@ -428,26 +404,11 @@ void Controller::flush_all(FlushTrigger trigger) {
 }
 
 void Controller::send_round_ops(ActiveUpdate& active, std::size_t round) {
-  const UpdateRequest& request = request_of(active);
-  const std::vector<RoundOp>& ops = request.rounds[round];
-  // Compiled-plan fast path: ship the cached frame with the live xid
-  // patched in instead of building and encoding a Message - byte-identical
-  // wire traffic, no encoder on the hot path. Only when eligible (see the
-  // constructor) and the switch has an encoded link; otherwise fall back
-  // per op.
-  const bool pre_encoded = active.plan != nullptr && encoded_eligible_;
+  const CompiledPlan& plan = *active.plan;
+  const std::vector<RoundOp>& ops = plan.request.rounds[round];
   for (std::size_t i = 0; i < ops.size(); ++i) {
-    const RoundOp& op = ops[i];
     const Xid xid = next_xid();
-    bool sent = false;
-    if (pre_encoded) {
-      const auto link = encoded_switches_.find(op.node);
-      if (link != encoded_switches_.end()) {
-        link->second(active.plan->flow_mod_frame(round, i), xid);
-        sent = true;
-      }
-    }
-    if (!sent) send_to_switch(op.node, proto::make_flow_mod(xid, op.mod));
+    send_flow_mod(ops[i].node, ops[i].mod, plan.flow_mod_frame(round, i), xid);
     retire_xid(xid);  // nothing routes on FlowMod xids
     ++active.metrics.flow_mods_sent;
     ++active.metrics.rounds.back().flow_mods;
@@ -459,15 +420,7 @@ void Controller::send_round_barrier(ActiveUpdate& active, UpdateId id,
   const Xid xid = next_xid();
   insert_waiting(xid, id, node);
   ++active.waiting;
-  bool sent = false;
-  if (active.plan != nullptr && encoded_eligible_) {
-    const auto link = encoded_switches_.find(node);
-    if (link != encoded_switches_.end()) {
-      link->second(active.plan->barrier_frame(), xid);
-      sent = true;
-    }
-  }
-  if (!sent) send_to_switch(node, proto::make_barrier_request(xid));
+  send_frame(node, CompiledPlan::barrier_frame(), xid);
   fence_barrier(node, xid);
   ++active.metrics.barriers_sent;
   ++active.metrics.rounds.back().barriers;
@@ -477,9 +430,9 @@ void Controller::start_round(UpdateId id) {
   const auto it = active_.find(id);
   TSU_ASSERT(it != active_.end());
   ActiveUpdate& active = it->second;
-  const UpdateRequest& request = request_of(active);
+  const CompiledPlan& plan = *active.plan;
 
-  if (active.next_round >= request.rounds.size()) {
+  if (active.next_round >= plan.rounds()) {
     finish_update(id);
     return;
   }
@@ -489,22 +442,12 @@ void Controller::start_round(UpdateId id) {
 
   if (config_.use_barriers) {
     // The paper's FSM: send the round's FlowMods, then barrier every switch
-    // of the round and wait for all replies.
+    // of the round (the plan's compiled fan-out order) and wait for all
+    // replies.
     const std::size_t round = active.next_round;
     send_round_ops(active, round);
-    if (active.plan != nullptr) {
-      // The plan's pre-deduplicated barrier targets, compiled by replaying
-      // the set construction below - same switches, same order, no
-      // per-submission set.
-      for (const NodeId node : active.plan->barrier_order[round])
-        send_round_barrier(active, id, node);
-    } else {
-      const std::vector<RoundOp>& ops = request.rounds[round];
-      std::unordered_set<NodeId> round_switches;
-      for (const RoundOp& op : ops) round_switches.insert(op.node);
-      for (const NodeId node : round_switches)
-        send_round_barrier(active, id, node);
-    }
+    for (const NodeId node : plan.barrier_order(round))
+      send_round_barrier(active, id, node);
     ++active.next_round;
     if (active.waiting == 0) finish_round(id);  // empty round: advance
     return;
@@ -513,9 +456,9 @@ void Controller::start_round(UpdateId id) {
   // Reckless mode (ablation): blast every round back-to-back; one trailing
   // barrier per touched switch detects completion.
   std::unordered_set<NodeId> touched;
-  while (active.next_round < request.rounds.size()) {
+  while (active.next_round < plan.rounds()) {
     send_round_ops(active, active.next_round);
-    for (const RoundOp& op : request.rounds[active.next_round])
+    for (const RoundOp& op : plan.request.rounds[active.next_round])
       touched.insert(op.node);
     ++active.next_round;
   }
@@ -582,9 +525,12 @@ void Controller::on_message(NodeId from, const proto::Message& message) {
     }
     case proto::MsgType::kEchoRequest: {
       const auto it = switches_.find(from);
-      if (it != switches_.end())
-        it->second(proto::make_echo_reply(
-            message.xid, std::get<proto::Echo>(message.body).payload));
+      if (it == switches_.end()) return;
+      proto::encode_into(
+          proto::make_echo_reply(message.xid,
+                                 std::get<proto::Echo>(message.body).payload),
+          encode_scratch_);
+      it->second(encode_scratch_, message.xid);
       return;
     }
     case proto::MsgType::kHello:
@@ -620,7 +566,7 @@ void Controller::finish_round(UpdateId id) {
   TSU_ASSERT(it != active_.end());
   ActiveUpdate& active = it->second;
 
-  const bool more_rounds = active.next_round < request_of(active).rounds.size();
+  const bool more_rounds = active.next_round < active.plan->rounds();
   if (!more_rounds || !config_.use_barriers) {
     // A coordinated sub-request still confirms its final round (the
     // coordinator's sync accounting sees the full spread; with no next
@@ -645,7 +591,7 @@ void Controller::finish_round(UpdateId id) {
     if (hooks_ != nullptr) hooks_->on_round_done(shard_id_, token, round);
     return;
   }
-  const sim::Duration interval = request_of(active).interval;
+  const sim::Duration interval = active.plan->request.interval;
   if (interval == 0) {
     start_round(id);
   } else {
@@ -784,18 +730,20 @@ void Controller::retry_update_switch(UpdateId id, NodeId node) {
   // replay safe whatever prefix survived: it lands the switch in exactly
   // the already-acknowledged state plus the in-flight round. Metrics only
   // count first sends.
-  const UpdateRequest& request = request_of(update);
-  const std::size_t sent = std::min(update.next_round, request.rounds.size());
-  for (std::size_t r = 0; r < sent; ++r)
-    for (const RoundOp& op : request.rounds[r])
-      if (op.node == node) {
+  const CompiledPlan& plan = *update.plan;
+  const std::size_t sent = std::min(update.next_round, plan.rounds());
+  for (std::size_t r = 0; r < sent; ++r) {
+    const std::vector<RoundOp>& ops = plan.request.rounds[r];
+    for (std::size_t i = 0; i < ops.size(); ++i)
+      if (ops[i].node == node) {
         const Xid mod_xid = next_xid();
-        send_to_switch(node, proto::make_flow_mod(mod_xid, op.mod));
+        send_flow_mod(node, ops[i].mod, plan.flow_mod_frame(r, i), mod_xid);
         retire_xid(mod_xid);
       }
+  }
   const Xid xid = next_xid();
   waiting_.emplace(xid, std::make_pair(id, node));
-  send_to_switch(node, proto::make_barrier_request(xid));
+  send_frame(node, CompiledPlan::barrier_frame(), xid);
   fence_barrier(node, xid);
 }
 
@@ -831,9 +779,7 @@ void Controller::handle_reconnect(NodeId from, bool has_state) {
         mod.cookie = rule.cookie;
         mod.match = rule.match;
         mod.action = rule.action;
-        const Xid mod_xid = next_xid();
-        send_to_switch(from, proto::make_flow_mod(mod_xid, mod));
-        retire_xid(mod_xid);
+        push_flow_mod(from, mod);
         ++mods;
       }
     }
@@ -882,9 +828,7 @@ void Controller::handle_reconnect(NodeId from, bool has_state) {
       } else {
         mod.command = proto::FlowModCommand::kDeleteStrict;
       }
-      const Xid mod_xid = next_xid();
-      send_to_switch(from, proto::make_flow_mod(mod_xid, mod));
-      retire_xid(mod_xid);
+      push_flow_mod(from, mod);
       ++mods;
     }
   }
@@ -894,7 +838,7 @@ void Controller::handle_reconnect(NodeId from, bool has_state) {
   // rounds replayed.
   const Xid xid = next_xid();
   resync_waiting_.emplace(xid, from);
-  send_to_switch(from, proto::make_barrier_request(xid));
+  send_frame(from, CompiledPlan::barrier_frame(), xid);
   fence_barrier(from, xid);
 }
 
@@ -943,7 +887,7 @@ void Controller::begin_rollback(UpdateId id) {
   // rolled back, some not - could leave the forwarding graph in a state no
   // schedule checker ever admitted. Drops at dead switches are re-driven
   // by retry and resync like any other send.
-  const UpdateRequest& source = request_of(aborted);
+  const UpdateRequest& source = aborted.plan->request;
   UpdateRequest inverse;
   inverse.name = source.name + "/rollback";
   inverse.flow = source.flow;
@@ -958,23 +902,15 @@ void Controller::begin_rollback(UpdateId id) {
   const UpdateId unwind_id = update_counter_++;
   RollbackCtx ctx;
   ctx.original = id;
-  if (aborted.plan != nullptr) {
-    // Materialize the canonical request for the resubmission; the
-    // per-submission class/arrival live on the (otherwise empty) stash
-    // request, exactly as submit() would have carried them.
-    ctx.request = aborted.plan->request;
-    ctx.request.priority_class = aborted.request.priority_class;
-    ctx.request.enqueued = aborted.request.enqueued;
-  } else {
-    ctx.request = std::move(aborted.request);
-  }
+  ctx.plan = std::move(aborted.plan);
+  ctx.enqueued = aborted.enqueued;
   ctx.metrics = std::move(aborted.metrics);
   rollback_ctx_.emplace(unwind_id, std::move(ctx));
 
   ActiveUpdate unwind;
-  unwind.request = std::move(inverse);
-  unwind.metrics.name = unwind.request.name;
-  unwind.metrics.flow = unwind.request.flow;
+  unwind.plan = compile_plan(std::move(inverse), resync_generation_);
+  unwind.metrics.name = unwind.plan->request.name;
+  unwind.metrics.flow = unwind.plan->request.flow;
   unwind.metrics.submitted = sim_.now();
   unwind.metrics.enqueued = sim_.now();
   unwind.metrics.started = sim_.now();
@@ -996,8 +932,10 @@ void Controller::finish_rollback(UpdateId id) {
     // A fresh attempt after a backoff (giving the failed switch time to
     // come back); it re-enters admission as a new arrival.
     sim_.schedule(effective_backoff(),
-                  [this, request = std::move(ctx.request)]() mutable {
-                    submit(std::move(request));
+                  [this, plan = std::move(ctx.plan),
+                   priority_class = ctx.metrics.priority_class,
+                   enqueued = ctx.enqueued]() mutable {
+                    submit_plan(std::move(plan), priority_class, enqueued);
                   });
   } else {
     ctx.metrics.finished = sim_.now();

@@ -23,11 +23,19 @@
 // nothing in flight, so overlapping updates queue behind their conflicts
 // while disjoint ones parallelize.
 //
-// Outbound messages flow through a per-switch OUTBOX (BatchMode): every
-// message bound for one switch - FlowMods and barrier requests, across all
-// in-flight flows - accumulates in that switch's outbox and ships as a
-// single Batch control frame, the way a production controller packs
-// messages into one TCP segment. When the outbox flushes is the mode:
+// Every update runs as a compiled plan (plan_cache.hpp): submit(request)
+// compiles the request and submits the plan, so there is one submission
+// path whatever the caller holds. The link towards a switch is bytes-only:
+// the controller sends complete encoded frames - plan frames, the shared
+// barrier frame, batch frames, fault-path frames encoded into a reused
+// scratch buffer - together with the xid to patch in (SendFn).
+//
+// Outbound frames flow through a per-switch OUTBOX (BatchMode): every frame
+// bound for one switch - FlowMods and barrier requests, across all
+// in-flight flows - accumulates, xid-patched, in that switch's outbox and
+// ships as a single Batch control frame (the batch header and count
+// followed by the held frames verbatim), the way a production controller
+// packs messages into one TCP segment. When the outbox flushes is the mode:
 //
 //   kOff      every message is its own frame (no outbox).
 //   kInstant  a zero-delay event flushes all outboxes, so only messages of
@@ -155,13 +163,12 @@ struct ControllerConfig {
   AdmissionPolicy admission = AdmissionPolicy::kBlind;
   // When footprints leave the conflict DAG (see AdmissionRelease).
   AdmissionRelease admission_release = AdmissionRelease::kRequest;
-  // Memoized update-plan compilation for the open-loop service mode
+  // Memoized plan compilation for the open-loop service mode
   // (controller/plan_cache.hpp): repeat submissions of a template reuse its
-  // compiled rounds, footprint and pre-encoded frames instead of
-  // re-lowering and re-encoding. Provably transparent - cache-on runs are
-  // bit-identical to cache-off (the equivalence suite pins it), so "off"
-  // exists for that proof and for perf baselines, not for correctness.
-  // Read by the service executor; the engine itself just accepts plans.
+  // compiled plan instead of re-lowering and re-compiling. Cache-off
+  // submits each request, which compiles it - the same engine code with a
+  // memo of capacity 0, bit-identical (the equivalence suite pins it).
+  // Read by the service executor; the engine itself just runs plans.
   bool plan_cache = true;
   // Sharded control plane (controller/shard.hpp): how many controller
   // shards the switches are partitioned across - max_in_flight applies PER
@@ -195,23 +202,21 @@ struct ControllerConfig {
 
 class Controller {
  public:
-  using SendFn = std::function<void(const proto::Message&)>;
-  // Pre-encoded variant: a complete frame (xid field patched per send by
-  // the channel) instead of a Message. See ControlChannel::send_encoded.
-  using SendEncodedFn =
-      std::function<void(std::span<const std::byte>, Xid)>;
+  // The link towards one switch: a complete encoded frame (a single
+  // message or a Batch) and the xid the link patches into its copy of the
+  // bytes (ControlChannel::send_frame). The bytes are only valid for the
+  // duration of the call.
+  using SendFn = std::function<void(std::span<const std::byte>, Xid)>;
 
   Controller(sim::Simulator& simulator, ControllerConfig config)
       : sim_(simulator), config_(config), admission_(config.admission) {
     if (config_.max_in_flight == 0) config_.max_in_flight = 1;
-    // The pre-encoded send path is only byte-transparent when every frame
-    // would be its own wire frame anyway (no outbox coalescing) and no
-    // shadow-table bookkeeping needs the Message object (no fault
-    // tolerance). Otherwise plan submissions fall back to Message sends -
-    // still skipping lowering/footprint/encode recomputation.
-    encoded_eligible_ =
-        config_.batch_mode == BatchMode::kOff &&
-        config_.liveness_timeout == 0;
+    // Per-round footprint release only means anything when footprints
+    // exist (conflict-aware) and rounds complete one at a time (barriers).
+    per_round_release_ =
+        config_.admission_release == AdmissionRelease::kRound &&
+        config_.admission == AdmissionPolicy::kConflictAware &&
+        config_.use_barriers;
     // The recycle stack is a fixed-capacity pool: reserving it here means
     // retire_xid never allocates, so long service runs stay off the heap
     // (the pool would otherwise double its way up during the pre-wrap
@@ -219,25 +224,21 @@ class Controller {
     free_xid_seqs_.reserve(kMaxFreeXids);
   }
 
-  // Registers the outbound channel towards a switch.
+  // Registers the outbound link towards a switch.
   void attach_switch(NodeId node, SendFn send);
-  // Registers the pre-encoded send path towards a switch (optional; plan
-  // submissions fall back to the Message path for switches without one).
-  void attach_switch_encoded(NodeId node, SendEncodedFn send);
 
   // Inbound dispatch: the per-switch channel delivers replies here.
   void on_message(NodeId from, const proto::Message& message);
 
   // Enqueues a policy update (the paper's REST message queue); processing
   // starts immediately while fewer than max_in_flight updates are active.
+  // Compiles the request and submits the plan with the request's
+  // priority_class and enqueued.
   void submit(UpdateRequest request);
 
-  // Compiled-plan submission (plan_cache.hpp): behaviour-identical to
-  // submit() of the plan's canonical request with `priority_class` and
-  // `enqueued` applied, but the hot path performs no lowering, no
-  // footprint computation and - when eligible - no message encoding. The
-  // plan is shared, immutable and typically reused across many
-  // submissions.
+  // Enqueues a compiled plan (plan_cache.hpp) with the two per-submission
+  // parameters. The plan is shared, immutable and may be reused across
+  // many submissions (the service executor's PlanCache).
   void submit_plan(std::shared_ptr<const CompiledPlan> plan,
                    std::uint8_t priority_class,
                    std::optional<sim::SimTime> enqueued);
@@ -383,7 +384,10 @@ class Controller {
   // admission DAG at its global arrival position (so per-shard dependency
   // edges stay consistent with one global arrival order) but only starts
   // through start_coordinated().
-  void submit_coordinated(UpdateRequest request, std::uint64_t token);
+  void submit_coordinated(std::shared_ptr<const CompiledPlan> plan,
+                          std::uint8_t priority_class,
+                          std::optional<sim::SimTime> enqueued,
+                          std::uint64_t token);
   bool coordinated_admissible(std::uint64_t token) const noexcept;
   bool has_capacity() const noexcept {
     return active_.size() < config_.max_in_flight;
@@ -400,27 +404,23 @@ class Controller {
  private:
   using UpdateId = std::uint64_t;
 
+  // Pending and active updates hold the shared plan plus the two
+  // per-submission parameters: the priority class (in metrics) and the
+  // arrival hint `enqueued`, which a rollback resubmission passes on.
   struct PendingUpdate {
     UpdateId id = 0;
-    // Plain submissions own their request here. Plan-backed submissions
-    // leave it EMPTY except priority_class and enqueued (the two
-    // per-submission parameters, stashed so the start scan and a rollback
-    // resubmission can read them back) - the plan carries the rounds.
-    UpdateRequest request;
-    UpdateMetrics metrics;  // carries the submission timestamp
     std::shared_ptr<const CompiledPlan> plan;
+    std::optional<sim::SimTime> enqueued;
+    UpdateMetrics metrics;  // carries the submission timestamp
     // Coordinated sub-request: held until the ShardCoordinator starts it.
     bool held = false;
     std::uint64_t token = 0;
   };
 
   struct ActiveUpdate {
-    UpdateRequest request;
-    UpdateMetrics metrics;
-    // Set for plan-backed updates; request_of() then reads the plan's
-    // canonical request and `request` only carries the per-submission
-    // priority_class/enqueued stash.
     std::shared_ptr<const CompiledPlan> plan;
+    std::optional<sim::SimTime> enqueued;
+    UpdateMetrics metrics;
     std::size_t next_round = 0;
     // Outstanding barriers of this update's in-flight round.
     std::size_t waiting = 0;
@@ -431,29 +431,33 @@ class Controller {
     // admission (the aborted update's footprint still covers its rules)
     // and never rolls back itself (double faults recover kWait-style).
     bool system = false;
-    // admission_release = round: footprint rules keyed by the last round
-    // touching them; slot k is released when round k completes. Empty when
-    // per-round release is off.
-    std::vector<std::vector<RuleRef>> release_plan;
   };
 
   // Why an outbox shipped; drives the observability counters.
   enum class FlushTrigger { kInstant, kTimer, kBudget };
 
-  // The request a live update executes: the plan's canonical request for
-  // plan-backed updates, the owned one otherwise.
-  static const UpdateRequest& request_of(const ActiveUpdate& active) noexcept {
-    return active.plan != nullptr ? active.plan->request : active.request;
-  }
-
+  // The one submission body: queues the plan and registers it in the
+  // conflict DAG. Callers decide whether it is held and try starts.
+  PendingUpdate& enqueue(std::shared_ptr<const CompiledPlan> plan,
+                         std::uint8_t priority_class,
+                         std::optional<sim::SimTime> enqueued);
   void maybe_start_next_request();
   void start_pending(std::vector<PendingUpdate>::iterator it);
   void start_round(UpdateId id);
   void send_round_ops(ActiveUpdate& active, std::size_t round);
   // One barrier of a round: registers the outstanding xid and ships the
-  // (possibly pre-encoded) barrier request to `node`.
+  // barrier frame to `node`.
   void send_round_barrier(ActiveUpdate& active, UpdateId id, NodeId node);
-  void send_to_switch(NodeId node, proto::Message message);
+  // Every frame headed for a switch: straight to the link when batching is
+  // off, else xid-patched into the switch's outbox.
+  void send_frame(NodeId node, std::span<const std::byte> frame, Xid xid);
+  // A FlowMod frame: with fault tolerance on, `mod` (the frame's content)
+  // is committed to the shadow and the unfenced log first.
+  void send_flow_mod(NodeId node, const proto::FlowMod& mod,
+                     std::span<const std::byte> frame, Xid xid);
+  // Encodes a controller-built FlowMod (resync pushes) into the scratch
+  // buffer and sends it on a fresh xid.
+  void push_flow_mod(NodeId node, const proto::FlowMod& mod);
   void flush_switch(NodeId node, FlushTrigger trigger);
   void flush_all(FlushTrigger trigger);
   sim::Duration adaptive_window() const noexcept;
@@ -472,12 +476,14 @@ class Controller {
     flow::Match match;
   };
   // Bookkeeping of one in-flight rollback: the aborted update's identity
-  // (its admission footprint stays held until the unwind completes), the
-  // original request for resubmission, and its metrics for the
-  // aborted-without-resubmit completion record.
+  // (its admission footprint stays held until the unwind completes), its
+  // plan and arrival hint for resubmission, and its metrics (class
+  // included) for the resubmission and the aborted-without-resubmit
+  // completion record.
   struct RollbackCtx {
     UpdateId original = 0;
-    UpdateRequest request;
+    std::shared_ptr<const CompiledPlan> plan;
+    std::optional<sim::SimTime> enqueued;
     UpdateMetrics metrics;
   };
   void record_send(NodeId node, const proto::FlowMod& mod);
@@ -568,26 +574,20 @@ class Controller {
   ControllerConfig config_;
   AdmissionQueue admission_;
   std::unordered_map<NodeId, SendFn> switches_;
-  // Pre-encoded send paths (plan submissions only); keyed like switches_.
-  std::unordered_map<NodeId, SendEncodedFn> encoded_switches_;
-  // Whether plan-backed sends may use the pre-encoded path (computed at
+  // Whether completed rounds release their footprint slices (computed at
   // construction; see the constructor comment).
-  bool encoded_eligible_ = false;
+  bool per_round_release_ = false;
   // Submitted but not yet started, in arrival order. Under conflict-aware
   // admission a later entry may start before an earlier blocked one.
-  // A vector (not deque): plan-backed entries hold no heap state, so warm
-  // slots are free to fill, and libstdc++'s deque would allocate a fresh
-  // chunk every few dozen push/pop cycles at steady state.
+  // A vector (not deque): pending entries hold no heap state of their own,
+  // so warm slots are free to fill, and libstdc++'s deque would allocate a
+  // fresh chunk every few dozen push/pop cycles at steady state.
   std::vector<PendingUpdate> queue_;
   ActiveMap active_;
   // Outstanding barrier xid -> (owning update, switch it fences).
   WaitingMap waiting_;
   std::vector<ActiveMap::node_type> active_pool_;
   std::vector<WaitingMap::node_type> waiting_pool_;
-  // Per-round release staging: the completed round's slice is copied here
-  // (capacities reused on both sides) before admission release can rehash
-  // active_.
-  std::vector<RuleRef> release_rules_scratch_;
   CompletionLog completed_;
   std::function<void(const UpdateMetrics&)> on_update_done_;
   // Sharding: this engine's shard id (tags xids) and the coordinator's
@@ -611,16 +611,20 @@ class Controller {
   std::size_t flush_timers_cancelled_ = 0;
   sim::Duration max_hold_ = 0;
 
-  // One pending message of a per-switch outbox: readiness instant and
-  // encoded size, so flushes can account hold latency and byte budgets.
+  // One pending frame of a per-switch outbox: where it starts in the
+  // outbox's bytes (it ends where the next one starts), its xid and its
+  // readiness instant, so flushes can split chunks and account hold
+  // latency.
   struct OutboxEntry {
-    proto::Message message;
+    std::uint32_t offset = 0;
+    Xid xid = 0;
     sim::SimTime enqueued = 0;
-    std::size_t bytes = 0;
   };
   struct Outbox {
+    // The pending frames, xid-patched and back to back in send order; its
+    // size is the byte budget's measure.
+    std::vector<std::byte> frames;
     std::vector<OutboxEntry> entries;
-    std::size_t bytes = 0;
     // Cancellable per-switch flush timer (kWindow/kAdaptive). A budget or
     // forced flush cancels it; the lazy-cancel event queue compacts the
     // dead slots (see sim/event_queue.hpp).
@@ -630,10 +634,12 @@ class Controller {
 
   // Ordered map so flush-all order is deterministic.
   std::map<NodeId, Outbox> outbox_;
-  // Reused flush staging buffer: capacities circulate between it and the
-  // outboxes, so steady-state flushes stop allocating at high-water size.
-  std::vector<OutboxEntry> flush_scratch_;
   bool flush_scheduled_ = false;  // kInstant: one zero-delay flush-all event
+  // Reused frame buffers: batch frames built by flushes, and messages the
+  // controller encodes itself (resync FlowMods, echo replies). Both stop
+  // allocating at their high-water size.
+  std::vector<std::byte> batch_scratch_;
+  std::vector<std::byte> encode_scratch_;
 
   // --- fault tolerance (all empty and untouched when disabled) ----------
   // Shadow tables: the rule state every send has committed each switch to,

@@ -1,6 +1,8 @@
 #include "tsu/controller/plan_cache.hpp"
 
 #include <algorithm>
+#include <array>
+#include <memory_resource>
 #include <unordered_set>
 #include <utility>
 
@@ -8,24 +10,26 @@
 
 namespace tsu::controller {
 
-std::vector<std::vector<RuleRef>> round_release_plan(
-    const UpdateRequest& request) {
-  std::vector<std::vector<RuleRef>> plan(request.rounds.size());
-  std::vector<std::pair<RuleRef, std::size_t>> last;
-  for (std::size_t r = 0; r < request.rounds.size(); ++r) {
-    for (const RoundOp& op : request.rounds[r]) {
-      RuleRef ref{op.node, op.mod.table, op.mod.match};
-      const auto it =
-          std::find_if(last.begin(), last.end(),
-                       [&](const auto& e) { return e.first == ref; });
-      if (it == last.end())
-        last.emplace_back(std::move(ref), r);
-      else
-        it->second = r;
-    }
-  }
-  for (auto& [ref, round] : last) plan[round].push_back(std::move(ref));
-  return plan;
+namespace {
+
+// The last round of `request` that writes `ref`'s rule.
+std::size_t last_round_touching(const UpdateRequest& request,
+                                const RuleRef& ref) {
+  for (std::size_t r = request.rounds.size(); r-- > 0;)
+    for (const RoundOp& op : request.rounds[r])
+      if (op.node == ref.node && op.mod.table == ref.table &&
+          op.mod.match == ref.match)
+        return r;
+  TSU_ASSERT_MSG(false, "footprint rule no round touches");
+  return 0;
+}
+
+}  // namespace
+
+std::span<const std::byte> CompiledPlan::barrier_frame() {
+  static const std::vector<std::byte> frame =
+      proto::encode(proto::make_barrier_request(0));
+  return frame;
 }
 
 std::shared_ptr<const CompiledPlan> compile_plan(UpdateRequest request,
@@ -33,43 +37,76 @@ std::shared_ptr<const CompiledPlan> compile_plan(UpdateRequest request,
   auto plan = std::make_shared<CompiledPlan>();
   plan->generation = generation;
   plan->request = std::move(request);
+  plan->request.priority_class = 0;
+  plan->request.enqueued.reset();
   const UpdateRequest& req = plan->request;
+  const std::size_t rounds = req.rounds.size();
 
   plan->footprint = Footprint::of(req);
-  plan->release_plan = round_release_plan(req);
 
-  std::vector<std::byte> scratch;
-  plan->flow_mod_frames.resize(req.rounds.size());
-  plan->barrier_order.resize(req.rounds.size());
-  for (std::size_t r = 0; r < req.rounds.size(); ++r) {
-    const std::vector<RoundOp>& ops = req.rounds[r];
-    std::vector<CompiledPlan::FrameRef>& row = plan->flow_mod_frames[r];
-    row.reserve(ops.size());
-    for (const RoundOp& op : ops) {
-      // Encode with xid 0; send patches the live xid into the pooled copy
-      // (proto::patch_xid), yielding bytes identical to a fresh encode.
-      proto::encode_into(proto::make_flow_mod(0, op.mod), scratch);
+  // Size every table exactly up front: one allocation each.
+  std::size_t ops = 0;
+  std::size_t bytes = 0;
+  for (const std::vector<RoundOp>& round : req.rounds) {
+    ops += round.size();
+    for (const RoundOp& op : round)
+      bytes += proto::flow_mod_frame_size(op.mod);
+  }
+  plan->frames.reserve(bytes);
+  plan->flow_mod_frames.reserve(ops);
+  plan->touched.reserve(ops);
+  plan->barrier_targets.reserve(ops);
+  plan->round_starts.resize(rounds + 1);
+
+  // The per-round switch sets live in a stack arena (falling back to the
+  // heap only for very wide rounds); the allocator does not change a set's
+  // iteration order.
+  std::array<std::byte, 4096> arena;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    CompiledPlan::RoundStart& start = plan->round_starts[r];
+    start.op = static_cast<std::uint32_t>(plan->flow_mod_frames.size());
+    start.barrier = static_cast<std::uint32_t>(plan->barrier_targets.size());
+    for (const RoundOp& op : req.rounds[r]) {
+      // Encode with xid 0; each send patches the live xid into its copy.
       CompiledPlan::FrameRef ref;
       ref.offset = static_cast<std::uint32_t>(plan->frames.size());
-      ref.length = static_cast<std::uint32_t>(scratch.size());
-      plan->frames.insert(plan->frames.end(), scratch.begin(), scratch.end());
-      row.push_back(ref);
+      proto::encode_append(proto::make_flow_mod(0, op.mod), plan->frames);
+      ref.length =
+          static_cast<std::uint32_t>(plan->frames.size() - ref.offset);
+      plan->flow_mod_frames.push_back(ref);
       if (std::find(plan->touched.begin(), plan->touched.end(), op.node) ==
           plan->touched.end())
         plan->touched.push_back(op.node);
     }
-    // Replay of the engine's per-round barrier fan-out: a fresh
-    // unordered_set fed the same insertion sequence iterates in the same
-    // order, so the compiled target list preserves the exact barrier send
-    // order the uncached path would produce - a load-bearing detail for
-    // bit-identical xid assignment and channel RNG consumption.
-    std::unordered_set<NodeId> round_switches;
-    for (const RoundOp& op : ops) round_switches.insert(op.node);
-    std::vector<NodeId>& order = plan->barrier_order[r];
-    order.reserve(round_switches.size());
-    for (const NodeId node : round_switches) order.push_back(node);
+    // The paper's per-round barrier fan-out, deduplicated through a fresh
+    // unordered_set: its iteration order is the barrier send order, which
+    // fixes xid assignment and same-instant event order.
+    std::pmr::monotonic_buffer_resource pool(arena.data(), arena.size());
+    std::pmr::unordered_set<NodeId> round_switches(&pool);
+    for (const RoundOp& op : req.rounds[r]) round_switches.insert(op.node);
+    for (const NodeId node : round_switches)
+      plan->barrier_targets.push_back(node);
   }
-  proto::encode_into(proto::make_barrier_request(0), plan->barrier);
+  CompiledPlan::RoundStart& end = plan->round_starts[rounds];
+  end.op = static_cast<std::uint32_t>(plan->flow_mod_frames.size());
+  end.barrier = static_cast<std::uint32_t>(plan->barrier_targets.size());
+
+  // Release slices by counting sort on each rule's last round, in
+  // footprint order: count into round_starts[last + 1], prefix-sum into
+  // slice starts, place while advancing each start to its slice's end,
+  // then shift the starts back by one round.
+  const std::vector<RuleRef>& rules = plan->footprint.rules();
+  for (const RuleRef& rule : rules)
+    ++plan->round_starts[last_round_touching(req, rule) + 1].release;
+  for (std::size_t r = 1; r <= rounds; ++r)
+    plan->round_starts[r].release += plan->round_starts[r - 1].release;
+  plan->release_rules.resize(rules.size());
+  for (const RuleRef& rule : rules)
+    plan->release_rules[plan->round_starts[last_round_touching(req, rule)]
+                            .release++] = rule;
+  for (std::size_t r = rounds; r > 0; --r)
+    plan->round_starts[r].release = plan->round_starts[r - 1].release;
+  plan->round_starts[0].release = 0;
   return plan;
 }
 

@@ -1,37 +1,27 @@
-// Compile-once submission path: memoized update plans with pre-encoded,
-// xid-patchable frames.
+// Compiled update plans - the one form in which the controller runs an
+// update - and the memo that lets repeat submissions share them.
 //
-// The open-loop service mode submits the same few templates over and over
-// (each template alternating forward/reverse), yet every submission used to
-// re-lower the schedule to rounds, recompute the admission footprint and
-// release plan, and re-encode every FlowMod and barrier frame from scratch.
-// All of that work is a pure function of the template - only the xids and
-// the arrival timestamp differ between submissions.
+// Every submission goes through a CompiledPlan: Controller::submit(request)
+// compiles the request and submits the plan. A plan captures everything
+// about an update that does not depend on the submission instant: the
+// canonical UpdateRequest (rounds and all), its admission Footprint, the
+// per-round release slices, the per-round barrier fan-out order, and every
+// FlowMod frame pre-encoded with xid 0. Running a plan then costs only xid
+// assignment and per-switch routing: the outbox or the channel copies the
+// cached bytes and patches the live xid in (proto::patch_xid - the xid
+// analogue of the codec's length patch), producing bytes identical to a
+// fresh encode with that xid.
 //
-// A CompiledPlan captures the invariant part once: the canonical
-// UpdateRequest (rounds and all), its admission Footprint, the per-round
-// release plan, and every wire frame pre-encoded with xid 0 plus the
-// per-round barrier fan-out order. Submitting a plan
-// (Controller::submit_plan) then costs only xid assignment and per-switch
-// routing: the channel copies the cached bytes into its pooled frame buffer
-// and patches the live xid in place (proto::patch_xid - the xid analogue of
-// the Batch encoder's length patch), producing bytes identical to a fresh
-// encode.
-//
-// Transparency is the contract: a cache-on run is bit-identical to the
-// cache-off run - same digests, same wire bytes, same makespan, same oracle
-// verdicts. Two mechanisms guard it:
-//   * eligibility - the pre-encoded send path is only taken when a frame
-//     would be its own wire frame anyway (batching off) and no shadow-table
-//     bookkeeping inspects the Message (fault tolerance off); otherwise the
-//     plan still skips lowering/footprint/encoding recomputation but sends
-//     through the ordinary Message path, which reads the plan's canonical
-//     request and produces identical bytes;
-//   * generation tagging - every plan records the controller's resync
-//     generation at compile time. A fault-driven resync rewrites shadow
-//     state and bumps the generation, so PlanCache::lookup discards any
-//     plan compiled before it (counted as an invalidation) rather than
-//     serving stale frames.
+// The open-loop service mode submits the same few templates over and over,
+// so it memoizes plans in a PlanCache: a hit skips lowering and compiling
+// entirely. The memo is transparent - a cache-on run is bit-identical to
+// the cache-off run (the service driver then calls submit(request), a memo
+// of capacity 0 over the same controller code), which the equivalence
+// suite pins. Generation tagging keeps it that way under faults: every plan
+// records the controller's resync generation at compile time; a
+// fault-driven resync rewrites shadow state and bumps the generation, so
+// PlanCache::lookup discards any plan compiled before it (counted as an
+// invalidation) rather than serving it.
 #pragma once
 
 #include <cstddef>
@@ -47,64 +37,78 @@
 
 namespace tsu::controller {
 
-// Everything about one update template that does not depend on the
-// submission instant. Immutable after compile_plan (shared across
-// submissions through shared_ptr<const CompiledPlan>).
+// Everything about one update that does not depend on the submission
+// instant. Immutable after compile_plan (shared across submissions through
+// shared_ptr<const CompiledPlan>). Per-round tables are flat: one vector
+// per table, sliced by `round_starts`.
 struct CompiledPlan {
   // Offset/length of one pre-encoded frame inside `frames`.
   struct FrameRef {
     std::uint32_t offset = 0;
     std::uint32_t length = 0;
   };
+  // Where one round's entries start in each flat table. `round_starts`
+  // holds one entry per round plus a sentinel with the table ends, so
+  // round r spans [round_starts[r], round_starts[r + 1]).
+  struct RoundStart {
+    std::uint32_t op = 0;
+    std::uint32_t barrier = 0;
+    std::uint32_t release = 0;
+  };
 
   // The canonical request: rounds, name, flow, interval. Per-submission
-  // fields (priority_class, enqueued) are left at their defaults and
-  // carried by the submission itself.
+  // fields (priority_class, enqueued) are reset to their defaults and
+  // carried by each submission instead.
   UpdateRequest request;
   // Admission footprint, identical to Footprint::of(request).
   Footprint footprint;
-  // Per-round footprint release slices (admission_release = round),
-  // identical to round_release_plan(request).
-  std::vector<std::vector<RuleRef>> release_plan;
   // Unique switches the request touches, in first-appearance order; the
-  // sharded coordinator routes plan submissions by this set without
-  // materializing a request.
+  // sharded coordinator routes by this set.
   std::vector<NodeId> touched;
-  // Flat pool of pre-encoded FlowMod frames (xid 0), indexed per
-  // round/op by `flow_mod_frames`.
+  // Pre-encoded FlowMod frames (xid 0) back to back, and one FrameRef per
+  // round op.
   std::vector<std::byte> frames;
-  std::vector<std::vector<FrameRef>> flow_mod_frames;
-  // One pre-encoded BarrierRequest frame (xid 0); barriers are
-  // payload-free, so every round shares it.
-  std::vector<std::byte> barrier;
-  // Per-round barrier fan-out targets, captured at compile time by
-  // replaying the engine's per-round switch-set construction - same
-  // switches, same iteration order as the uncached path.
-  std::vector<std::vector<NodeId>> barrier_order;
+  std::vector<FrameRef> flow_mod_frames;
+  // Per-round barrier fan-out targets, in exactly the order a fresh
+  // std::unordered_set fed the round's ops iterates - the order xids are
+  // assigned in, which the digests pin.
+  std::vector<NodeId> barrier_targets;
+  // Per-round footprint release slices (admission_release = round): every
+  // footprint rule sits in the slice of the LAST round touching it, in
+  // footprint order - once that round's barriers return, no later round
+  // can write the rule again.
+  std::vector<RuleRef> release_rules;
+  std::vector<RoundStart> round_starts;
   // Controller resync generation at compile time; lookup() rejects plans
   // from older generations.
   std::uint64_t generation = 0;
 
+  std::size_t rounds() const noexcept { return request.rounds.size(); }
   std::span<const std::byte> flow_mod_frame(std::size_t round,
                                             std::size_t op) const noexcept {
-    const FrameRef& ref = flow_mod_frames[round][op];
+    const FrameRef& ref = flow_mod_frames[round_starts[round].op + op];
     return std::span<const std::byte>(frames).subspan(ref.offset, ref.length);
   }
-  std::span<const std::byte> barrier_frame() const noexcept {
-    return barrier;
+  std::span<const NodeId> barrier_order(std::size_t round) const noexcept {
+    return std::span<const NodeId>(barrier_targets)
+        .subspan(round_starts[round].barrier,
+                 round_starts[round + 1].barrier -
+                     round_starts[round].barrier);
   }
+  std::span<const RuleRef> release_slice(std::size_t round) const noexcept {
+    return std::span<const RuleRef>(release_rules)
+        .subspan(round_starts[round].release,
+                 round_starts[round + 1].release -
+                     round_starts[round].release);
+  }
+  // The BarrierRequest frame (xid 0). Barriers carry no payload, so every
+  // barrier of every plan shares this one constant.
+  static std::span<const std::byte> barrier_frame();
 };
 
-// Keys every footprint rule by the LAST round touching it: once that
-// round's barriers return, no later round of the request can write the rule
-// again, so its admission entry is safe to release early. Shared by the
-// controller's per-round release (admission_release = round) and
-// compile_plan, which bakes the result into the plan.
-std::vector<std::vector<RuleRef>> round_release_plan(
-    const UpdateRequest& request);
-
-// Compiles `request` into an immutable plan: footprint, release plan,
-// touched set, and every wire frame encoded once with xid 0.
+// Compiles `request` into an immutable plan: footprint, release slices,
+// touched set, barrier order, and every FlowMod frame encoded once with
+// xid 0.
 std::shared_ptr<const CompiledPlan> compile_plan(UpdateRequest request,
                                                  std::uint64_t generation);
 

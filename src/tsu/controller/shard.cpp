@@ -49,31 +49,38 @@ void ShardCoordinator::on_message(NodeId from, const proto::Message& message) {
 }
 
 void ShardCoordinator::submit(UpdateRequest request) {
-  if (shards_.size() == 1) {
-    shards_[0]->engine().submit(std::move(request));
+  const std::uint8_t priority_class = request.priority_class;
+  const std::optional<sim::SimTime> enqueued = request.enqueued;
+  submit_plan(compile_plan(std::move(request), resync_generation()),
+              priority_class, enqueued);
+}
+
+void ShardCoordinator::submit_plan(std::shared_ptr<const CompiledPlan> plan,
+                                   std::uint8_t priority_class,
+                                   std::optional<sim::SimTime> enqueued) {
+  // Shard-local (or degenerate empty): the owner runs it exactly like the
+  // single controller would. This check allocates nothing, so warm cached
+  // submissions stay off the heap.
+  const std::vector<NodeId>& nodes = plan->touched;
+  const std::size_t owner = nodes.empty() ? 0 : shard_of(nodes.front());
+  if (std::all_of(nodes.begin(), nodes.end(),
+                  [&](NodeId node) { return shard_of(node) == owner; })) {
+    shards_[owner]->engine().submit_plan(std::move(plan), priority_class,
+                                         enqueued);
     return;
   }
-
   std::vector<std::uint8_t> parts;
   {
     std::vector<bool> touched(shards_.size(), false);
-    for (const std::vector<RoundOp>& round : request.rounds)
-      for (const RoundOp& op : round)
-        touched[partition_.shard_of(op.node)] = true;
+    for (const NodeId node : nodes) touched[shard_of(node)] = true;
     for (std::size_t s = 0; s < touched.size(); ++s)
       if (touched[s]) parts.push_back(static_cast<std::uint8_t>(s));
-  }
-  if (parts.size() <= 1) {
-    // Shard-local (or degenerate empty): the owner runs it exactly like
-    // the single controller would.
-    shards_[parts.empty() ? 0 : parts.front()]->engine().submit(
-        std::move(request));
-    return;
   }
 
   // Cross-shard: split into per-shard sub-requests with aligned round
   // indices - a shard with no ops in round k keeps an empty round k, so
   // the k-th round of every slice confirms the k-th global round.
+  const UpdateRequest& request = plan->request;
   const std::uint64_t token = next_token_++;
   CrossUpdate cross;
   cross.shards = parts;
@@ -85,63 +92,29 @@ void ShardCoordinator::submit(UpdateRequest request) {
     subs[i].name = request.name;
     subs[i].flow = request.flow;
     subs[i].interval = request.interval;
-    subs[i].priority_class = request.priority_class;
-    subs[i].enqueued = request.enqueued;
     subs[i].rounds.resize(request.rounds.size());
   }
   for (std::size_t r = 0; r < request.rounds.size(); ++r) {
-    for (RoundOp& op : request.rounds[r]) {
+    for (const RoundOp& op : request.rounds[r]) {
       const std::uint8_t owner =
           static_cast<std::uint8_t>(partition_.shard_of(op.node));
       const std::size_t slot =
           static_cast<std::size_t>(std::lower_bound(parts.begin(), parts.end(),
                                                     owner) -
                                    parts.begin());
-      subs[slot].rounds[r].push_back(std::move(op));
+      subs[slot].rounds[r].push_back(op);
     }
   }
 
   cross_.emplace(token, std::move(cross));
-  for (std::size_t i = 0; i < parts.size(); ++i)
-    shards_[parts[i]]->engine().submit_coordinated(std::move(subs[i]), token);
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    Controller& engine = shards_[parts[i]]->engine();
+    engine.submit_coordinated(
+        compile_plan(std::move(subs[i]), engine.resync_generation()),
+        priority_class, enqueued, token);
+  }
   pending_cross_.push_back(token);
   try_start_cross();
-}
-
-void ShardCoordinator::submit_plan(std::shared_ptr<const CompiledPlan> plan,
-                                   std::uint8_t priority_class,
-                                   std::optional<sim::SimTime> enqueued) {
-  if (shards_.size() == 1) {
-    shards_[0]->engine().submit_plan(std::move(plan), priority_class,
-                                     enqueued);
-    return;
-  }
-  // Route by the plan's pre-deduplicated touched set - no request
-  // materialization, no per-round scan. Same partition function as
-  // submit()'s scan, so the routing decision is identical.
-  int owner = -1;
-  bool cross = false;
-  for (const NodeId node : plan->touched) {
-    const int shard = static_cast<int>(partition_.shard_of(node));
-    if (owner < 0) {
-      owner = shard;
-    } else if (shard != owner) {
-      cross = true;
-      break;
-    }
-  }
-  if (!cross) {
-    shards_[owner < 0 ? 0 : owner]->engine().submit_plan(
-        std::move(plan), priority_class, enqueued);
-    return;
-  }
-  // Cross-shard: the coordinated protocol needs per-shard sub-requests, so
-  // materialize the canonical request and take the ordinary split path.
-  // Identical to the uncached submission by construction.
-  UpdateRequest request = plan->request;
-  request.priority_class = priority_class;
-  request.enqueued = enqueued;
-  submit(std::move(request));
 }
 
 void ShardCoordinator::try_start_cross() {

@@ -5,13 +5,14 @@
 // routes update requests and runs cross-shard updates through a two-phase
 // round protocol.
 //
-// Routing. A request whose FlowMods all land on one shard is forwarded
-// verbatim: the owning shard runs it exactly like the single-controller
-// engine. With shards = 1 every request takes this path, which is why the
-// sharded controller is bit-identical to the unsharded one. A request
-// spanning shards is split into per-shard sub-requests with ALIGNED round
-// indices (a shard with no ops in round k keeps an empty round k) and
-// coordinated:
+// Routing. Requests are compiled first (plan_cache.hpp) and routed by the
+// plan's touched-switch set. A plan whose FlowMods all land on one shard is
+// forwarded verbatim: the owning shard runs it exactly like the
+// single-controller engine. With shards = 1 every request takes this path,
+// which is why the sharded controller is bit-identical to the unsharded
+// one. A request spanning shards is split into per-shard sub-requests with
+// ALIGNED round indices (a shard with no ops in round k keeps an empty
+// round k) and coordinated:
 //
 //   admission   every sub-request enters its shard's admission DAG at the
 //               request's global arrival position, so per-shard dependency
@@ -94,14 +95,8 @@ class ShardCoordinator final : public Controller::CoordinationHooks {
     return partition_.shard_of(node);
   }
 
-  // Registers the outbound channel towards a switch on its owning shard.
+  // Registers the outbound link towards a switch on its owning shard.
   void attach_switch(NodeId node, Controller::SendFn send);
-  // Registers the pre-encoded send path on the owning shard (plan
-  // submissions; see Controller::attach_switch_encoded).
-  void attach_switch_encoded(NodeId node, Controller::SendEncodedFn send) {
-    shards_[shard_of(node)]->engine().attach_switch_encoded(node,
-                                                            std::move(send));
-  }
   // Fault tolerance (sim/faults.hpp): shadow seeding and the resync
   // callback route to the switch's owning shard; see controller.hpp.
   void seed_shadow(NodeId node, const proto::FlowMod& mod) {
@@ -112,14 +107,14 @@ class ShardCoordinator final : public Controller::CoordinationHooks {
   }
   // Inbound dispatch: routes a switch's reply to the shard that owns it.
   void on_message(NodeId from, const proto::Message& message);
-  // Routes a request: forwarded whole when it touches one shard, split and
-  // coordinated when it spans several.
+  // Compiles the request and submits the plan with the request's
+  // priority_class and enqueued.
   void submit(UpdateRequest request);
-  // Compiled-plan submission: routed by the plan's touched-switch set
-  // without materializing a request. A shard-local plan forwards to the
-  // owning engine's submit_plan; a cross-shard one falls back to the
-  // coordinated split of the plan's canonical request (cold by design -
-  // the split must re-key xids and rounds per shard anyway).
+  // Routes a plan by its touched-switch set: a shard-local plan goes whole
+  // to the owning engine; a cross-shard one is split into per-shard
+  // sub-requests of the plan's canonical request, each compiled and
+  // submitted coordinated (cold by design - the split must re-key xids and
+  // rounds per shard anyway).
   void submit_plan(std::shared_ptr<const CompiledPlan> plan,
                    std::uint8_t priority_class,
                    std::optional<sim::SimTime> enqueued);

@@ -4,6 +4,8 @@ namespace tsu::core {
 
 namespace {
 
+// Every duration field is a number of ms or µs, so the kMaxMs cap keeps
+// each conversion to nanoseconds defined.
 Result<double> number_field(const json::Object& obj, const char* key,
                             double minimum) {
   const json::Value* value = obj.find(key);
@@ -14,9 +16,9 @@ Result<double> number_field(const json::Object& obj, const char* key,
     return make_error(Errc::kParseError,
                       std::string("field '") + key + "' must be a number");
   const double v = value->as_double();
-  if (v < minimum)
+  if (!(v >= minimum && v <= sim::kMaxMs))
     return make_error(Errc::kOutOfRange,
-                      std::string("field '") + key + "' below minimum");
+                      std::string("field '") + key + "' out of range");
   return v;
 }
 
@@ -176,8 +178,8 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
                               "' (off | instant | window | adaptive)");
       config.controller.batch_mode = *mode;
     } else if (key == "batch_window_ms") {
-      if (!field.is_number() || field.as_double() < 0)
-        return make_error(Errc::kOutOfRange, "'batch_window_ms' must be >= 0");
+      if (!field.is_number() || !sim::valid_ms(field.as_double()))
+        return make_error(Errc::kOutOfRange, "'batch_window_ms' out of range");
       config.controller.batch_window = ms(field.as_double());
     } else if (key == "batch_bytes") {
       if (!field.is_number() || field.as_int() < 1)
@@ -237,17 +239,17 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
         return make_error(Errc::kOutOfRange, "'priority' out of range");
       config.priority = static_cast<std::uint16_t>(field.as_int());
     } else if (key == "interval_ms") {
-      if (!field.is_number() || field.as_double() < 0)
-        return make_error(Errc::kOutOfRange, "'interval_ms' must be >= 0");
+      if (!field.is_number() || !sim::valid_ms(field.as_double()))
+        return make_error(Errc::kOutOfRange, "'interval_ms' out of range");
       config.interval = ms(field.as_double());
     } else if (key == "faults") {
       Result<sim::FaultSchedule> schedule = sim::FaultSchedule::from_json(field);
       if (!schedule.ok()) return schedule.error();
       config.faults = std::move(schedule.value());
     } else if (key == "liveness_timeout_ms") {
-      if (!field.is_number() || field.as_double() < 0)
+      if (!field.is_number() || !sim::valid_ms(field.as_double()))
         return make_error(Errc::kOutOfRange,
-                          "'liveness_timeout_ms' must be >= 0");
+                          "'liveness_timeout_ms' out of range");
       config.controller.liveness_timeout = ms(field.as_double());
     } else if (key == "failure_response") {
       if (!field.is_string())
@@ -261,8 +263,8 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
                               "' (wait | rollback)");
       config.controller.failure_response = *response;
     } else if (key == "retry_backoff_ms") {
-      if (!field.is_number() || field.as_double() < 0)
-        return make_error(Errc::kOutOfRange, "'retry_backoff_ms' must be >= 0");
+      if (!field.is_number() || !sim::valid_ms(field.as_double()))
+        return make_error(Errc::kOutOfRange, "'retry_backoff_ms' out of range");
       config.controller.retry_backoff = ms(field.as_double());
     } else if (key == "resubmit") {
       if (!field.is_bool())
@@ -473,9 +475,9 @@ Result<ServiceConfig> service_config_from_json(const json::Value& value) {
         return make_error(Errc::kParseError, "'trace_us' must be an array");
       config.trace.clear();
       for (const json::Value& gap : field.as_array()) {
-        if (!gap.is_number() || gap.as_double() < 0)
+        if (!gap.is_number() || !sim::valid_ms(gap.as_double()))
           return make_error(Errc::kOutOfRange,
-                            "'trace_us' entries must be >= 0");
+                            "'trace_us' entries out of range");
         config.trace.push_back(
             static_cast<sim::Duration>(gap.as_double() * 1e3));
       }
@@ -484,8 +486,8 @@ Result<ServiceConfig> service_config_from_json(const json::Value& value) {
         return make_error(Errc::kParseError, "'trace_cycle' must be a bool");
       config.trace_cycle = field.as_bool();
     } else if (key == "horizon_ms") {
-      if (!field.is_number() || field.as_double() < 0)
-        return make_error(Errc::kOutOfRange, "'horizon_ms' must be >= 0");
+      if (!field.is_number() || !sim::valid_ms(field.as_double()))
+        return make_error(Errc::kOutOfRange, "'horizon_ms' out of range");
       config.horizon = ms(field.as_double());
     } else if (key == "target") {
       if (!field.is_number() || field.as_int() < 0)
@@ -526,9 +528,9 @@ Result<ServiceConfig> service_config_from_json(const json::Value& value) {
         config.classes.push_back(cls);
       }
     } else if (key == "snapshot_interval_ms") {
-      if (!field.is_number() || field.as_double() < 0)
+      if (!field.is_number() || !sim::valid_ms(field.as_double()))
         return make_error(Errc::kOutOfRange,
-                          "'snapshot_interval_ms' must be >= 0");
+                          "'snapshot_interval_ms' out of range");
       config.snapshot_interval = ms(field.as_double());
     } else if (key == "snapshot_window") {
       if (!field.is_number() || field.as_int() < 1)

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <numeric>
 #include <span>
-#include <string_view>
 #include <unordered_map>
 
 #include "tsu/controller/plan_cache.hpp"
@@ -232,15 +230,9 @@ struct Engine {
     sw_ptr->set_controller_link([duplex_ptr](const proto::Message& m) {
       duplex_ptr->to_controller.send(m);
     });
-    ctrl->attach_switch(node, [duplex_ptr](const proto::Message& m) {
-      duplex_ptr->to_switch.send(m);
-    });
-    // Zero-encode fast path for compiled-plan submissions: the controller
-    // hands the channel a pre-encoded frame plus the xid to patch into it,
-    // skipping make_flow_mod/encode entirely (channel.hpp send_encoded).
-    ctrl->attach_switch_encoded(
-        node, [duplex_ptr](std::span<const std::byte> bytes, Xid xid) {
-          duplex_ptr->to_switch.send_encoded(bytes, xid);
+    ctrl->attach_switch(
+        node, [duplex_ptr](std::span<const std::byte> frame, Xid xid) {
+          duplex_ptr->to_switch.send_frame(frame, xid);
         });
 
     switches[node] = sw_ptr;
@@ -461,9 +453,9 @@ class ClosedLoop final : public Driver {
       : done(requests.size()),
         requests_(requests),
         first_flow_(first_flow),
-        request_of_(flow_count, 0) {
+        request_index_(flow_count, 0) {
     for (std::size_t r = 0; r < requests.size(); ++r)
-      request_of_[requests[r].flow - first_flow] = r;
+      request_index_[requests[r].flow - first_flow] = r;
   }
 
   // Completed metrics by request, collected as they happen: completion
@@ -476,8 +468,8 @@ class ClosedLoop final : public Driver {
     engine.ctrl->set_on_update_done(
         [this, &engine](const controller::UpdateMetrics& metrics) {
           const std::size_t key = metrics.flow - first_flow_;
-          TSU_ASSERT(key < request_of_.size());
-          done[request_of_[key]] = metrics;
+          TSU_ASSERT(key < request_index_.size());
+          done[request_index_[key]] = metrics;
           if (++completed_ == requests_.size())
             engine.stop_traffic_after(engine.config.drain);
         });
@@ -513,7 +505,7 @@ class ClosedLoop final : public Driver {
  private:
   std::vector<controller::UpdateRequest>& requests_;
   FlowId first_flow_;
-  std::vector<std::size_t> request_of_;  // by key flow - first_flow_
+  std::vector<std::size_t> request_index_;  // by key flow - first_flow_
   std::size_t completed_ = 0;
   std::vector<std::vector<std::size_t>> by_home_;
 };
@@ -805,13 +797,13 @@ class ServiceDriver final : public Driver {
           exec.priority, exec.interval);
     };
     if (exec.controller.plan_cache) {
-      // Warm path: reuse the compiled plan - no request materialization, no
-      // re-encoding; the controller patches xids into the cached frames.
+      // Warm path: reuse the compiled plan - no lowering, no compiling.
       // Cold path: build the CANONICAL request (exactly what the cache-off
       // branch below submits, before the per-submission class/enqueued
       // stamps) and compile it once. The lookup passes the coordinator's
       // current resync generation: any fault-driven shadow rewrite bumps
-      // it, and stale pre-encoded frames are recompiled, never served.
+      // it, and stale plans are recompiled, never served. Cache off
+      // submits the request, which the controller compiles on the spot.
       const std::uint64_t generation = engine_.ctrl->resync_generation();
       std::shared_ptr<const controller::CompiledPlan> plan =
           plan_cache_.lookup(dir.plan_key, generation);
@@ -1006,13 +998,6 @@ Result<ServiceResult> execute_service(const ServiceConfig& config) {
   // guarantee, so service mode upgrades it to the conflict DAG.
   if (exec.controller.admission == controller::AdmissionPolicy::kBlind)
     exec.controller.admission = controller::AdmissionPolicy::kConflictAware;
-  // CI kill switch: TSU_PLAN_CACHE=off forces every service run onto the
-  // compile-per-submission path, so the sanitizer jobs can sweep the whole
-  // service/soak suite with the cache inert and prove the transparent-
-  // optimization claim under ASan without duplicating the tests.
-  if (const char* env = std::getenv("TSU_PLAN_CACHE");
-      env != nullptr && std::string_view(env) == "off")
-    exec.controller.plan_cache = false;
   if (config.flows == 0)
     return make_error(Errc::kInvalidArgument, "need at least one template");
   if (config.classes.empty() || config.classes.size() > 256)

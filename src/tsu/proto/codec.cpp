@@ -1,5 +1,7 @@
 #include "tsu/proto/codec.hpp"
 
+#include <algorithm>
+
 #include "tsu/proto/bytes.hpp"
 
 namespace tsu::proto {
@@ -136,12 +138,21 @@ void encode_frame(Writer& w, const Message& message) {
   w.patch_u16(length_offset, static_cast<std::uint16_t>(frame_size));
 }
 
+std::uint16_t read_u16(std::span<const std::byte> data, std::size_t at) {
+  return static_cast<std::uint16_t>(
+      static_cast<std::uint16_t>(data[at]) << 8 |
+      static_cast<std::uint16_t>(data[at + 1]));
+}
+
 // `depth` guards batch nesting: a kBatch body at depth > 0 is rejected
 // BEFORE its elements are decoded, so adversarial deeply-nested batch
 // frames cannot recurse the decoder more than two levels.
+// `expected` pre-sizes the message vector: a Batch passes its declared
+// element count, already capped by what the body could hold.
 Result<Message> decode_impl(std::span<const std::byte> data, int depth);
 Result<DecodeStreamResult> decode_stream_impl(std::span<const std::byte> data,
-                                              int depth);
+                                              int depth,
+                                              std::size_t expected);
 
 Result<Body> decode_body(MsgType type, Reader& r, std::size_t body_size,
                          int depth) {
@@ -235,8 +246,13 @@ Result<Body> decode_body(MsgType type, Reader& r, std::size_t body_size,
       if (!raw.ok()) return raw.error();
       // Elements are ordinary self-delimiting frames: reuse the streaming
       // decoder, then insist the declared count consumed the body exactly.
-      Result<DecodeStreamResult> elements =
-          decode_stream_impl(raw.value(), depth + 1);
+      // Every element is at least a header, so a count the body cannot
+      // hold only reserves what the body could - a malformed count never
+      // forces a large allocation.
+      Result<DecodeStreamResult> elements = decode_stream_impl(
+          raw.value(), depth + 1,
+          std::min<std::size_t>(count.value(),
+                                raw.value().size() / kHeaderSize));
       if (!elements.ok()) return elements.error();
       if (elements.value().consumed != raw.value().size() ||
           elements.value().messages.size() != count.value())
@@ -290,13 +306,13 @@ Result<Message> decode_impl(std::span<const std::byte> data, int depth) {
 }
 
 Result<DecodeStreamResult> decode_stream_impl(std::span<const std::byte> data,
-                                              int depth) {
+                                              int depth,
+                                              std::size_t expected) {
   DecodeStreamResult result;
+  result.messages.reserve(expected);
   while (data.size() - result.consumed >= kHeaderSize) {
     const std::span<const std::byte> rest = data.subspan(result.consumed);
-    const auto declared =
-        static_cast<std::size_t>(static_cast<std::uint8_t>(rest[2])) << 8 |
-        static_cast<std::size_t>(static_cast<std::uint8_t>(rest[3]));
+    const std::size_t declared = read_u16(rest, 2);
     if (declared > rest.size()) break;  // incomplete frame; stop cleanly
     Result<Message> message = decode_impl(rest.subspan(0, declared), depth);
     if (!message.ok()) return message.error();
@@ -316,46 +332,33 @@ std::vector<std::byte> encode(const Message& message) {
 
 void encode_into(const Message& message, std::vector<std::byte>& out) {
   out.clear();
+  encode_append(message, out);
+}
+
+void encode_append(const Message& message, std::vector<std::byte>& out) {
   Writer w(out);
   encode_frame(w, message);
 }
 
-namespace {
-
-std::size_t match_size(const flow::Match& match) {
-  std::size_t n = 1;  // presence bitmap
-  if (match.flow.has_value()) n += 8;
-  if (match.src_host.has_value()) n += 4;
-  if (match.dst_host.has_value()) n += 4;
-  if (match.in_port.has_value()) n += 4;
-  return n;
+void encode_batch_into(std::uint32_t xid, std::size_t count,
+                       std::span<const std::byte> elements,
+                       std::vector<std::byte>& out) {
+  TSU_ASSERT_MSG(count <= 0xffff, "batch too large");
+  encode_into(make_batch(xid, {}), out);  // the header and a zero count
+  Writer w(out);
+  w.bytes(elements);
+  TSU_ASSERT_MSG(w.size() <= kMaxFrame, "frame exceeds 64 KiB");
+  w.patch_u16(2, static_cast<std::uint16_t>(w.size()));
+  w.patch_u16(kHeaderSize, static_cast<std::uint16_t>(count));
 }
 
-// Mirrors BodyEncoder field for field; proto_test pins
-// encoded_size(m) == encode(m).size() so the two cannot drift.
-struct BodySizer {
-  std::size_t operator()(const Hello&) const { return 0; }
-  std::size_t operator()(const Error& e) const { return 4 + e.text.size(); }
-  std::size_t operator()(const Echo& e) const { return e.payload.size(); }
-  std::size_t operator()(const FeaturesRequest&) const { return 0; }
-  std::size_t operator()(const FeaturesReply&) const { return 12; }
-  std::size_t operator()(const FlowMod& mod) const {
-    return 1 + 1 + 2 + 8 + match_size(mod.match) + 5;  // action: kind + port
-  }
-  std::size_t operator()(const PacketOut&) const { return 28; }
-  std::size_t operator()(const BarrierRequest&) const { return 0; }
-  std::size_t operator()(const BarrierReply&) const { return 0; }
-  std::size_t operator()(const Batch& batch) const {
-    std::size_t n = 2;  // element count
-    for (const Message& m : batch.messages) n += encoded_size(m);
-    return n;
-  }
-};
-
-}  // namespace
-
-std::size_t encoded_size(const Message& message) {
-  return kHeaderSize + std::visit(BodySizer{}, message.body);
+std::size_t flow_mod_frame_size(const FlowMod& mod) noexcept {
+  // Mirrors BodyEncoder's FlowMod: command, table, priority, cookie, the
+  // match's presence bitmap and present fields, then action kind + port.
+  const flow::Match& m = mod.match;
+  return kHeaderSize + 1 + 1 + 2 + 8 + 1 + (m.flow.has_value() ? 8 : 0) +
+         (m.src_host.has_value() ? 4 : 0) + (m.dst_host.has_value() ? 4 : 0) +
+         (m.in_port.has_value() ? 4 : 0) + 5;
 }
 
 void patch_xid(std::span<std::byte> frame, std::uint32_t xid) noexcept {
@@ -371,12 +374,35 @@ MsgType frame_type(std::span<const std::byte> frame) noexcept {
   return static_cast<MsgType>(frame[1]);
 }
 
+std::size_t frame_messages(std::span<const std::byte> frame) noexcept {
+  if (frame_type(frame) != MsgType::kBatch) return 1;
+  TSU_ASSERT_MSG(frame.size() >= kHeaderSize + 2, "batch without a count");
+  return read_u16(frame, kHeaderSize);
+}
+
+bool carries_barrier_request(std::span<const std::byte> frame) noexcept {
+  const MsgType type = frame_type(frame);
+  if (type == MsgType::kBarrierRequest) return true;
+  if (type != MsgType::kBatch) return false;
+  // Walk the element headers: each element is a self-delimiting frame.
+  const std::size_t end = read_u16(frame, 2);
+  TSU_ASSERT_MSG(end <= frame.size(), "frame truncated");
+  for (std::size_t at = kHeaderSize + 2; at + kHeaderSize <= end;) {
+    if (static_cast<MsgType>(frame[at + 1]) == MsgType::kBarrierRequest)
+      return true;
+    const std::size_t length = read_u16(frame, at + 2);
+    TSU_ASSERT_MSG(length >= kHeaderSize, "batch element shorter than header");
+    at += length;
+  }
+  return false;
+}
+
 Result<Message> decode(std::span<const std::byte> data) {
   return decode_impl(data, 0);
 }
 
 Result<DecodeStreamResult> decode_stream(std::span<const std::byte> data) {
-  return decode_stream_impl(data, 0);
+  return decode_stream_impl(data, 0, 0);
 }
 
 }  // namespace tsu::proto

@@ -25,11 +25,24 @@ std::vector<std::byte> encode(const Message& message);
 // its high-water capacity - the channel's frame pool is built on this.
 void encode_into(const Message& message, std::vector<std::byte>& out);
 
-// Encoded frame size in bytes, computed from the message layout without
-// encoding (allocation-free). The controller's outbox uses this to account
-// its per-switch byte budget against real wire bytes; a codec test pins it
-// to encode().size().
-std::size_t encoded_size(const Message& message);
+// Appends the encoded frame to `out` without clearing it: compile_plan lays
+// a plan's frames back to back in one buffer this way.
+void encode_append(const Message& message, std::vector<std::byte>& out);
+
+// Writes into `out` (cleared first) a Batch frame whose `count` elements
+// are the already-encoded frames laid back to back in `elements`: the
+// batch header and count, the element bytes verbatim, then the same length
+// patch every frame gets. Byte-identical to encode(make_batch(xid, m)) of
+// the messages those frames encode; the controller outbox builds its batch
+// frames this way from the xid-patched frames it holds.
+void encode_batch_into(std::uint32_t xid, std::size_t count,
+                       std::span<const std::byte> elements,
+                       std::vector<std::byte>& out);
+
+// Encoded size of make_flow_mod(xid, mod) in bytes, computed from the
+// layout without encoding; compile_plan sizes a plan's frame buffer with
+// it. A codec test pins it to encode() for every match shape.
+std::size_t flow_mod_frame_size(const FlowMod& mod) noexcept;
 
 // Patches the xid field (header bytes [4,8), big-endian) of an
 // already-encoded frame in place - the xid analogue of the length
@@ -38,11 +51,13 @@ std::size_t encoded_size(const Message& message);
 // and the wire bytes stay identical to a fresh encode with that xid.
 void patch_xid(std::span<std::byte> frame, std::uint32_t xid) noexcept;
 
-// Reads the message type byte of an encoded frame (header byte 1) without
-// decoding. Callers that route pre-encoded bytes (e.g. the channel's
-// blackhole fault gate, which must know whether a frame carries a barrier)
-// use this instead of a full decode.
+// Inspection of a well-formed encoded frame without decoding it, for code
+// that routes bytes: the message type (header byte 1), the messages it
+// carries (a Batch's element count, else 1), and whether it is or contains
+// a BarrierRequest (the channel's blackhole gate closes only on those).
 MsgType frame_type(std::span<const std::byte> frame) noexcept;
+std::size_t frame_messages(std::span<const std::byte> frame) noexcept;
+bool carries_barrier_request(std::span<const std::byte> frame) noexcept;
 
 // Decodes exactly one frame from the start of `data`.
 Result<Message> decode(std::span<const std::byte> data);

@@ -158,8 +158,8 @@ Result<RestUpdateMessage> parse_update_message(std::string_view json_text) {
       if (!value.is_number())
         return make_error(Errc::kParseError, "'interval' must be a number");
       message.interval_ms = value.as_double();
-      if (message.interval_ms < 0)
-        return make_error(Errc::kOutOfRange, "'interval' must be >= 0");
+      if (!sim::valid_ms(message.interval_ms))
+        return make_error(Errc::kOutOfRange, "'interval' out of range");
     } else if (key == "admission") {
       if (!value.is_string())
         return make_error(Errc::kParseError, "'admission' must be a string");
@@ -204,9 +204,9 @@ Result<RestUpdateMessage> parse_update_message(std::string_view json_text) {
                           "'plan_cache' must be \"on\" or \"off\"");
       message.plan_cache = value.as_string() == "on";
     } else if (key == "liveness_timeout_ms") {
-      if (!value.is_number() || value.as_double() < 0)
+      if (!value.is_number() || !sim::valid_ms(value.as_double()))
         return make_error(Errc::kOutOfRange,
-                          "'liveness_timeout_ms' must be >= 0");
+                          "'liveness_timeout_ms' out of range");
       message.liveness_timeout_ms = value.as_double();
     } else if (key == "failure_response") {
       if (!value.is_string())
@@ -239,8 +239,9 @@ Result<RestUpdateMessage> parse_update_message(std::string_view json_text) {
                               "' (off | instant | window | adaptive)");
       message.batch_mode = *mode;
     } else if (key == "batch_window_ms") {
-      if (!value.is_number() || value.as_double() < 0)
-        return make_error(Errc::kOutOfRange, "'batch_window_ms' must be >= 0");
+      if (!value.is_number() || !sim::valid_ms(value.as_double()))
+        return make_error(Errc::kOutOfRange,
+                          "'batch_window_ms' out of range");
       message.batch_window_ms = value.as_double();
     } else if (key == "batch_bytes") {
       if (!value.is_number() || value.as_int() < 1)

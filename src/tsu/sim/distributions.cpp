@@ -1,6 +1,8 @@
 #include "tsu/sim/distributions.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "tsu/sim/time.hpp"
@@ -8,8 +10,8 @@
 namespace tsu::sim {
 
 Duration from_ms(double ms) noexcept {
-  if (ms <= 0) return 0;
-  return static_cast<Duration>(ms * 1e6);
+  if (!(ms > 0)) return 0;
+  return static_cast<Duration>(std::min(ms, kMaxMs) * 1e6);
 }
 
 Duration LatencyModel::sample(Rng& rng) const {
@@ -21,8 +23,11 @@ Duration LatencyModel::sample(Rng& rng) const {
     case LatencyKind::kLognormal: value = rng.lognormal_median(a, b); break;
     case LatencyKind::kPareto: value = rng.pareto(c, a, b); break;
   }
-  if (value < 0) value = 0;
-  return static_cast<Duration>(value);
+  // Heavy tails can sample past the largest Duration: saturate rather than
+  // cast out of range.
+  if (!(value > 0)) return 0;
+  return value < 0x1p64 ? static_cast<Duration>(value)
+                        : std::numeric_limits<Duration>::max();
 }
 
 double LatencyModel::mean() const {

@@ -133,9 +133,9 @@ Result<FaultSchedule> FaultSchedule::from_json(const json::Value& value) {
     event.kind = parsed.value();
 
     const json::Value* at = obj.find("at_ms");
-    if (at == nullptr || !at->is_number() || at->as_double() < 0)
+    if (at == nullptr || !at->is_number() || !sim::valid_ms(at->as_double()))
       return make_error(Errc::kParseError,
-                        "fault event needs numeric 'at_ms' >= 0");
+                        "fault event needs numeric 'at_ms' in [0, 1.8e13]");
     event.at = sim::from_ms(at->as_double());
 
     const json::Value* node = obj.find("node");
@@ -153,7 +153,8 @@ Result<FaultSchedule> FaultSchedule::from_json(const json::Value& value) {
       }
     } else {
       const json::Value* down = obj.find("down_ms");
-      if (down == nullptr || !down->is_number() || down->as_double() <= 0)
+      if (down == nullptr || !down->is_number() || down->as_double() <= 0 ||
+          down->as_double() > sim::kMaxMs)
         return make_error(Errc::kParseError,
                           "crash/link_down needs numeric 'down_ms' > 0");
       event.down_for = sim::from_ms(down->as_double());

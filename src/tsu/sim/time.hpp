@@ -24,7 +24,14 @@ inline constexpr double to_us(Duration d) {
   return static_cast<double>(d) / 1e3;
 }
 
-// Converts a (non-negative) double amount of milliseconds to a Duration.
+// The largest millisecond amount a Duration holds (ms * 1e6 stays below
+// 2^64 ns). Parsers of untrusted input reject anything outside
+// [0, kMaxMs] - NaN and infinities included - with kOutOfRange.
+inline constexpr double kMaxMs = 1.8e13;
+inline constexpr bool valid_ms(double ms) { return ms >= 0 && ms <= kMaxMs; }
+
+// Converts a double amount of milliseconds to a Duration: NaN and
+// negative amounts give 0, amounts past kMaxMs saturate.
 Duration from_ms(double ms) noexcept;
 
 }  // namespace tsu::sim

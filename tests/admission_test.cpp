@@ -185,18 +185,22 @@ TEST(AdmissionQueueTest, BlindAdmitsEverythingSerializeNothing) {
   EXPECT_EQ(serialize.release(2), (std::vector<AdmissionQueue::Id>{3}));
 }
 
+// Flow 1's rule on `node`, as a one-rule release slice.
+std::vector<RuleRef> flow1_rule_on(NodeId node) {
+  return {RuleRef{node, 0, flow::Match::exact_flow(1)}};
+}
+
 TEST(AdmissionQueueTest, ReleaseRulesUnblocksWhenLastConflictRetires) {
   AdmissionQueue q(AdmissionPolicy::kConflictAware);
   // A holds rules on switches 1 and 2; B conflicts with A only on 1.
   EXPECT_TRUE(q.submit(1, flow_on_nodes(1, {1, 2})));
   EXPECT_FALSE(q.submit(2, flow_on_nodes(1, {1, 3})));
   // Releasing A's non-conflicting rule changes nothing for B...
-  EXPECT_TRUE(
-      q.release_rules(1, {RuleRef{2, 0, flow::Match::exact_flow(1)}}).empty());
+  EXPECT_TRUE(q.release_rules(1, flow1_rule_on(2)).empty());
   EXPECT_FALSE(q.admissible(2));
   // ...releasing the conflicting rule unblocks B while A stays live.
   const std::vector<AdmissionQueue::Id> unblocked =
-      q.release_rules(1, {RuleRef{1, 0, flow::Match::exact_flow(1)}});
+      q.release_rules(1, flow1_rule_on(1));
   ASSERT_EQ(unblocked.size(), 1u);
   EXPECT_EQ(unblocked.front(), 2u);
   EXPECT_TRUE(q.admissible(2));
@@ -209,7 +213,7 @@ TEST(AdmissionQueueTest, ReleaseRulesUnblocksWhenLastConflictRetires) {
 TEST(AdmissionQueueTest, ReleaseRulesRetiresRulesForNewArrivalsToo) {
   AdmissionQueue q(AdmissionPolicy::kConflictAware);
   EXPECT_TRUE(q.submit(1, flow_on_nodes(1, {1, 2})));
-  q.release_rules(1, {RuleRef{1, 0, flow::Match::exact_flow(1)}});
+  q.release_rules(1, flow1_rule_on(1));
   // A new arrival on the retired rule sees no live conflict; one on A's
   // remaining rule still blocks.
   EXPECT_TRUE(q.submit(2, flow_on_nodes(1, {1})));
@@ -219,12 +223,10 @@ TEST(AdmissionQueueTest, ReleaseRulesRetiresRulesForNewArrivalsToo) {
   AdmissionQueue q2(AdmissionPolicy::kConflictAware);
   EXPECT_TRUE(q2.submit(1, flow_on_nodes(1, {1, 2})));
   EXPECT_FALSE(q2.submit(2, flow_on_nodes(1, {1, 2})));
-  EXPECT_TRUE(
-      q2.release_rules(1, {RuleRef{1, 0, flow::Match::exact_flow(1)}})
-          .empty());
+  EXPECT_TRUE(q2.release_rules(1, flow1_rule_on(1)).empty());
   EXPECT_FALSE(q2.admissible(2));
   const std::vector<AdmissionQueue::Id> unblocked =
-      q2.release_rules(1, {RuleRef{2, 0, flow::Match::exact_flow(1)}});
+      q2.release_rules(1, flow1_rule_on(2));
   ASSERT_EQ(unblocked.size(), 1u);
   EXPECT_TRUE(q2.admissible(2));
 }
@@ -359,9 +361,10 @@ struct TestBed {
     sw->set_controller_link([duplex_ptr](const proto::Message& m) {
       duplex_ptr->to_controller.send(m);
     });
-    ctrl.attach_switch(node, [duplex_ptr](const proto::Message& m) {
-      duplex_ptr->to_switch.send(m);
-    });
+    ctrl.attach_switch(
+        node, [duplex_ptr](std::span<const std::byte> frame, Xid xid) {
+          duplex_ptr->to_switch.send_frame(frame, xid);
+        });
     switches.emplace(node, std::move(sw));
     channels.push_back(std::move(duplex));
   }

@@ -133,6 +133,44 @@ TEST(ChannelTest, DuplexDirectionsAreIndependent) {
   EXPECT_EQ(to_controller, 2);
 }
 
+// A blackhole window eats frames until it has eaten a barrier request,
+// whether the barrier travels alone or inside a batch, and whether the
+// frame was handed over as bytes (send_frame, the controller's link) or
+// as a Message (send).
+TEST(ChannelTest, BlackholeWindowClosesOnlyOnAFrameCarryingABarrier) {
+  proto::FlowMod mod;
+  mod.match.flow = 3;
+  mod.action = flow::Action::forward(2);
+  const std::vector<proto::Message> sequence = {
+      proto::make_batch(1, {proto::make_flow_mod(2, mod),
+                            proto::make_flow_mod(3, mod)}),
+      proto::make_flow_mod(4, mod),
+      proto::make_batch(5, {proto::make_flow_mod(6, mod),
+                            proto::make_barrier_request(7)}),
+      proto::make_batch(8, {proto::make_barrier_request(9),
+                            proto::make_flow_mod(10, mod)}),
+  };
+  for (const bool as_bytes : {false, true}) {
+    Fixture f;
+    ControlChannel channel = f.make(ChannelConfig{});
+    channel.drop_next(1);
+    for (const proto::Message& message : sequence) {
+      if (as_bytes)
+        channel.send_frame(proto::encode(message), message.xid);
+      else
+        channel.send(message);
+    }
+    f.sim.run();
+    // The first batch exhausts the budget without a barrier, so the window
+    // stays open through the plain FlowMod and closes on the batch whose
+    // tail is a barrier; the next frame gets through.
+    EXPECT_EQ(channel.frames_dropped(), 3u) << "as_bytes " << as_bytes;
+    ASSERT_EQ(f.received.size(), 1u) << "as_bytes " << as_bytes;
+    EXPECT_EQ(f.received.front().second.xid, 8u);
+    EXPECT_EQ(channel.messages_sent(), 2u);
+  }
+}
+
 TEST(ChannelDeathTest, SendWithoutReceiverAsserts) {
   sim::Simulator sim;
   ControlChannel channel(sim, ChannelConfig{}, Rng(1));

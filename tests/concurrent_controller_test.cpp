@@ -43,9 +43,10 @@ struct TestBed {
     sw->set_controller_link([duplex_ptr](const proto::Message& m) {
       duplex_ptr->to_controller.send(m);
     });
-    ctrl.attach_switch(node, [duplex_ptr](const proto::Message& m) {
-      duplex_ptr->to_switch.send(m);
-    });
+    ctrl.attach_switch(
+        node, [duplex_ptr](std::span<const std::byte> frame, Xid xid) {
+          duplex_ptr->to_switch.send_frame(frame, xid);
+        });
     switches.emplace(node, std::move(sw));
     channels.push_back(std::move(duplex));
   }

@@ -121,6 +121,53 @@ TEST(ConfigTest, RangeChecks) {
   EXPECT_FALSE(parse(R"(not json)").ok());
 }
 
+TEST(ConfigTest, UnrepresentableDurationsRejected) {
+  // A duration whose nanosecond count does not fit a Duration (or is not
+  // finite) is out of range; converting it would be undefined behaviour.
+  for (const char* doc : {
+           R"({"batch_window_ms": 1e300})",
+           R"({"interval_ms": 1e300})",
+           R"({"liveness_timeout_ms": 1e300})",
+           R"({"retry_backoff_ms": 1e300})",
+           R"({"channel": {"retransmit_timeout_ms": 1e300}})",
+           R"({"channel": {"latency": {"kind": "constant", "ms": 1e300}}})",
+           R"({"channel": {"latency": {"kind": "uniform", "lo_ms": 1,
+                                       "hi_ms": 2e13}}})",
+           R"({"channel": {"latency": {"kind": "exponential",
+                                       "mean_ms": 1e300}}})",
+           R"({"switch": {"install": {"kind": "lognormal",
+                                      "median_ms": 1e300, "sigma": 1}}})",
+           R"({"switch": {"barrier_us": 1e300}})",
+           R"({"switch": {"processing_us": 1e300}})",
+           R"({"traffic": {"warmup_ms": 1e300}})",
+           R"({"traffic": {"drain_ms": 1e300}})",
+       }) {
+    const Result<ExecutorConfig> parsed = parse(doc);
+    ASSERT_FALSE(parsed.ok()) << doc;
+    EXPECT_EQ(parsed.error().code, Errc::kOutOfRange) << doc;
+  }
+  for (const char* doc : {
+           R"({"service": {"horizon_ms": 1e300}})",
+           R"({"service": {"snapshot_interval_ms": 1e300}})",
+           R"({"service": {"trace_us": [1, 1e300]}})",
+       }) {
+    const Result<ServiceConfig> parsed =
+        service_config_from_json(std::string_view(doc));
+    ASSERT_FALSE(parsed.ok()) << doc;
+    EXPECT_EQ(parsed.error().code, Errc::kOutOfRange) << doc;
+  }
+  EXPECT_FALSE(parse(R"({"faults": [{"kind": "crash", "node": 1,
+                                     "at_ms": 1e300, "down_ms": 1}]})")
+                   .ok());
+  EXPECT_FALSE(parse(R"({"faults": [{"kind": "crash", "node": 1,
+                                     "at_ms": 1, "down_ms": 1e300}]})")
+                   .ok());
+  // The largest representable amount still parses, exactly.
+  const Result<ExecutorConfig> edge = parse(R"({"batch_window_ms": 1.8e13})");
+  ASSERT_TRUE(edge.ok()) << edge.error().to_string();
+  EXPECT_EQ(edge.value().controller.batch_window, 18'000'000'000'000'000'000u);
+}
+
 TEST(ConfigTest, ShardingKnobsParse) {
   const Result<ExecutorConfig> parsed = parse(
       R"({"shards": 8, "partition": "block",

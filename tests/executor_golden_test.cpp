@@ -103,12 +103,12 @@ Golden golden_of(const MultiFlowExecutionResult& r) {
 
 // Runs with merged groups report one update per request and traffic per
 // policy; the flow rows pair policy i with the update of the request
-// `request_of[i]` that covers it. Both result layouts execute_merged and
+// `request_index[i]` that covers it. Both result layouts execute_merged and
 // execute_mixed have had are read, so the same literals also check builds
 // from before their results were unified.
 template <typename Result>
 Golden golden_of_grouped(const Result& r,
-                         const std::vector<std::size_t>& request_of) {
+                         const std::vector<std::size_t>& request_index) {
   Golden g;
   g.frames = r.frames_sent;
   const auto update_of =
@@ -116,7 +116,7 @@ Golden golden_of_grouped(const Result& r,
     if constexpr (requires { r.update; })
       return r.update;
     else
-      return r.updates[request_of[i]];
+      return r.updates[request_index[i]];
   };
   const auto traffic_of =
       [&](std::size_t i) -> const dataplane::MonitorReport& {
@@ -127,7 +127,7 @@ Golden golden_of_grouped(const Result& r,
   };
   sim::SimTime first = std::numeric_limits<sim::SimTime>::max();
   sim::SimTime last = 0;
-  for (std::size_t i = 0; i < request_of.size(); ++i) {
+  for (std::size_t i = 0; i < request_index.size(); ++i) {
     g.flows.push_back(flow_golden(update_of(i), traffic_of(i)));
     add_monitor(g, traffic_of(i));
     first = std::min(first, update_of(i).started);

@@ -24,6 +24,7 @@
 #include "tsu/core/service.hpp"
 #include "tsu/dataplane/monitor.hpp"
 #include "tsu/dataplane/traffic.hpp"
+#include "tsu/proto/codec.hpp"
 #include "tsu/proto/messages.hpp"
 #include "tsu/sim/event_queue.hpp"
 #include "tsu/sim/sharded.hpp"
@@ -73,6 +74,20 @@ TEST(HotPathAllocTest, EventQueuePoolHotLoopAllocatesNothing) {
   // the cancelled probes never do.
   while (!q.empty()) q.pop().fn();
   EXPECT_EQ(fired, 102000u);
+}
+
+TEST(HotPathAllocTest, BatchDecodeReservesItsElementsOnce) {
+  // Decoding a Batch sizes its element vector from the declared count
+  // (capped by what the body can hold) instead of growing it per element.
+  const std::vector<std::byte> wire = proto::encode(proto::make_batch(
+      9, {proto::make_barrier_request(1), proto::make_barrier_request(2),
+          proto::make_barrier_request(3)}));
+  const std::uint64_t before = allocs();
+  const Result<proto::Message> decoded = proto::decode(wire);
+  const std::uint64_t during = allocs() - before;
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(std::get<proto::Batch>(decoded.value().body).messages.size(), 3u);
+  EXPECT_EQ(during, 1u) << "batch decode grew its element vector";
 }
 
 TEST(HotPathAllocTest, ChannelRoundTripAllocatesNothingOnceWarm) {

@@ -178,44 +178,21 @@ TEST(CodecTest, LengthFieldMatchesFrameSize) {
   EXPECT_EQ(declared, wire.size());
 }
 
-TEST(CodecTest, EncodedSizeMatchesEncodeForEveryBodyShape) {
-  // encoded_size computes frame sizes from the layout without encoding;
-  // this pins it to the encoder so the two cannot drift (the controller's
-  // outbox byte budget depends on it).
-  std::vector<Message> messages;
-  messages.push_back(make_hello(1));
-  messages.push_back(make_barrier_request(2));
-  messages.push_back(make_barrier_reply(3));
-  messages.push_back(make_error(4, 7, "try again"));
-  messages.push_back(make_echo_request(5, {std::byte{1}, std::byte{2}}));
-  messages.push_back(make_echo_reply(6));
-  {
-    Message features;
-    features.xid = 7;
-    features.body = FeaturesReply{42, 3};
-    messages.push_back(features);
-  }
-  {
-    Message out;
-    out.xid = 8;
-    out.body = PacketOut{flow::Packet{9, 1, 2, 3, 64}, 5};
-    messages.push_back(out);
-  }
-  // FlowMods across every match-presence combination.
+TEST(CodecTest, FlowModFrameSizeMatchesEncodeForEveryMatchShape) {
+  // flow_mod_frame_size computes the frame size from the layout without
+  // encoding; this pins it to the encoder so the two cannot drift
+  // (compile_plan sizes every plan's frame buffer with it).
   for (int bits = 0; bits < 16; ++bits) {
     FlowMod mod;
+    mod.command = FlowModCommand::kModify;
     if ((bits & 1) != 0) mod.match.flow = 12;
     if ((bits & 2) != 0) mod.match.src_host = 3;
     if ((bits & 4) != 0) mod.match.dst_host = 4;
     if ((bits & 8) != 0) mod.match.in_port = 5;
     mod.action = flow::Action::forward(9);
-    messages.push_back(make_flow_mod(100 + bits, mod));
+    EXPECT_EQ(flow_mod_frame_size(mod), encode(make_flow_mod(7, mod)).size())
+        << "match bits " << bits;
   }
-  for (const Message& m : messages)
-    EXPECT_EQ(encoded_size(m), encode(m).size()) << m.to_string();
-  // And a batch of all of the above.
-  const Message batch = make_batch(999, messages);
-  EXPECT_EQ(encoded_size(batch), encode(batch).size());
 }
 
 TEST(CodecTest, TruncatedFrameRejected) {
@@ -451,6 +428,88 @@ TEST(CodecBatchTest, RejectsTruncatedElementAndTrailingBytes) {
   extra[2] = static_cast<std::byte>(total >> 8);
   extra[3] = static_cast<std::byte>(total & 0xff);
   EXPECT_FALSE(decode(extra).ok());
+}
+
+// The controller outbox's batch frames: each element encoded once with
+// xid 0 (as a compiled plan holds it), xid-patched, laid back to back, then
+// wrapped by encode_batch_into.
+std::vector<std::byte> concatenated_batch(Xid xid,
+                                          const std::vector<Message>& items) {
+  std::vector<std::byte> elements;
+  std::vector<std::byte> frame;
+  for (const Message& item : items) {
+    Message template_frame = item;
+    template_frame.xid = 0;
+    encode_into(template_frame, frame);
+    patch_xid(frame, item.xid);
+    elements.insert(elements.end(), frame.begin(), frame.end());
+  }
+  std::vector<std::byte> batch;
+  encode_batch_into(xid, items.size(), elements, batch);
+  return batch;
+}
+
+TEST(CodecBatchTest, ConcatenatedFramesMatchEncodedBatch) {
+  FlowMod mod;
+  mod.match.flow = 21;
+  mod.action = flow::Action::forward(3);
+  // A round's worth: FlowMods then their barrier.
+  std::vector<Message> round;
+  for (Xid x = 1; x <= 4; ++x) round.push_back(make_flow_mod(x, mod));
+  round.push_back(make_barrier_request(5));
+  // The outbox's message split: kMaxBatchMessages elements.
+  std::vector<Message> full;
+  for (std::size_t i = 0; i < kMaxBatchMessages; ++i)
+    full.push_back(i % 8 == 7 ? make_barrier_request(100 + i)
+                              : make_flow_mod(100 + i, mod));
+  // The outbox's byte split: elements totalling exactly 48 KiB.
+  std::vector<Message> heavy;
+  for (Xid x = 0; x < 12; ++x)
+    heavy.push_back(
+        make_echo_request(x, std::vector<std::byte>(4096 - 8, std::byte{7})));
+
+  for (const std::vector<Message>* items : {&round, &full, &heavy}) {
+    const Message expected = make_batch(0xabcdef, *items);
+    const std::vector<std::byte> batch = concatenated_batch(0xabcdef, *items);
+    EXPECT_EQ(batch, encode(expected)) << items->size() << " elements";
+    EXPECT_EQ(frame_messages(batch), items->size());
+    const Result<Message> decoded = decode(batch);
+    ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+    EXPECT_EQ(std::get<Batch>(decoded.value().body).messages.size(),
+              items->size());
+  }
+  EXPECT_EQ(concatenated_batch(1, heavy).size(), 10u + 48 * 1024);
+}
+
+TEST(CodecBatchTest, FrameInspectionFindsInnerBarrierRequests) {
+  FlowMod mod;
+  mod.action = flow::Action::forward(2);
+  const std::vector<std::byte> barrier = encode(make_barrier_request(1));
+  const std::vector<std::byte> flow_mod = encode(make_flow_mod(2, mod));
+  EXPECT_TRUE(carries_barrier_request(barrier));
+  EXPECT_FALSE(carries_barrier_request(flow_mod));
+  EXPECT_FALSE(carries_barrier_request(encode(make_barrier_reply(3))));
+  EXPECT_EQ(frame_messages(flow_mod), 1u);
+  const std::vector<Message> mods = {make_flow_mod(4, mod),
+                                     make_flow_mod(5, mod)};
+  EXPECT_FALSE(carries_barrier_request(concatenated_batch(6, mods)));
+  std::vector<Message> fenced = mods;
+  fenced.push_back(make_barrier_request(7));
+  EXPECT_TRUE(carries_barrier_request(concatenated_batch(8, fenced)));
+  const std::vector<Message> leading = {make_barrier_request(10),
+                                        make_flow_mod(11, mod)};
+  EXPECT_TRUE(carries_barrier_request(concatenated_batch(9, leading)));
+}
+
+TEST(CodecBatchTest, RejectsCountTheBodyCannotHold) {
+  // A batch declaring 65535 elements over a one-element body: the decoder
+  // caps its reservation by what the body could hold and rejects the frame.
+  std::vector<std::byte> wire = encode(make_batch(1, {make_hello(2)}));
+  wire[8] = std::byte{0xff};
+  wire[9] = std::byte{0xff};
+  const Result<Message> decoded = decode(wire);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().code, Errc::kParseError);
 }
 
 TEST(MessagesTest, TypeNamesAndToString) {

@@ -155,6 +155,27 @@ TEST(RestParseTest, RejectsBadControllerKnobs) {
                    .ok());
 }
 
+TEST(RestParseTest, RejectsUnrepresentableDurations) {
+  // Durations are converted to nanoseconds when applied; one that does not
+  // fit is rejected at parse time instead of converting undefined.
+  for (const char* doc : {
+           R"({"oldpath": [1], "newpath": [1], "interval": 1e300})",
+           R"({"oldpath": [1], "newpath": [1], "batch_window_ms": 1e300})",
+           R"({"oldpath": [1], "newpath": [1],
+               "liveness_timeout_ms": 1e300})",
+       }) {
+    const Result<RestUpdateMessage> parsed = parse_update_message(doc);
+    ASSERT_FALSE(parsed.ok()) << doc;
+    EXPECT_EQ(parsed.error().code, Errc::kOutOfRange) << doc;
+  }
+  const Result<RestUpdateMessage> edge = parse_update_message(
+      R"({"oldpath": [1], "newpath": [1], "liveness_timeout_ms": 1.8e13})");
+  ASSERT_TRUE(edge.ok()) << edge.error().to_string();
+  controller::ControllerConfig config;
+  apply_controller_overrides(edge.value(), config);
+  EXPECT_EQ(config.liveness_timeout, 18'000'000'000'000'000'000u);
+}
+
 TEST(RestParseTest, ShardingKnobsParsedAndApplied) {
   const Result<RestUpdateMessage> parsed = parse_update_message(
       R"({"oldpath": [1, 2], "newpath": [1, 2],

@@ -4,8 +4,6 @@
 // contract (steady_state_entries back to zero).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <string_view>
 #include <vector>
 
 #include "tsu/core/service.hpp"
@@ -63,20 +61,22 @@ TEST(ServiceTest, DeterministicPerSeed) {
 // forwarding state, same makespan, same oracle verdict - across seeds,
 // with traffic and sharding mixed in. Any divergence means the compiled
 // plan diverged from what the lowering pipeline would have produced.
+// The seeds also cover outbox batching and fault-tolerance bookkeeping (a
+// liveness timeout far above the round RTT, so it never fires), whose
+// sends run through the same compiled frames.
 TEST(ServiceTest, PlanCacheIsBitTransparentAcrossSeeds) {
-  // The CI cache-off sweep (TSU_PLAN_CACHE=off) forces both arms of this
-  // comparison onto the same path, which would vacuously pass the identity
-  // checks and fail the cache-on counter assertions - skip it there; the
-  // normal legs run it.
-  if (const char* env = std::getenv("TSU_PLAN_CACHE");
-      env != nullptr && std::string_view(env) == "off")
-    GTEST_SKIP() << "plan cache forced off by environment";
   for (std::uint64_t seed = 1; seed <= 100; ++seed) {
     ServiceConfig config = small_service();
     config.exec.seed = seed;
     config.target_completions = 30;
     config.exec.with_traffic = (seed % 5 == 0);  // oracle on a fifth of them
     if (seed % 3 == 0) config.exec.controller.shards = 2;
+    if (seed % 4 == 1)
+      config.exec.controller.batch_mode = controller::BatchMode::kInstant;
+    if (seed % 4 == 2)
+      config.exec.controller.batch_mode = controller::BatchMode::kAdaptive;
+    if (seed % 7 < 3)
+      config.exec.controller.liveness_timeout = sim::milliseconds(100);
     ServiceConfig off_config = config;
     off_config.exec.controller.plan_cache = false;
 

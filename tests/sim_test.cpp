@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -405,6 +407,12 @@ TEST(TimeTest, UnitHelpers) {
 TEST(TimeTest, FromMsClampsNegative) {
   EXPECT_EQ(from_ms(-1.0), 0u);
   EXPECT_EQ(from_ms(1.5), 1'500'000u);
+  // Out of range: NaN reads 0, amounts past kMaxMs saturate there.
+  EXPECT_EQ(from_ms(std::nan("")), 0u);
+  EXPECT_EQ(from_ms(1e300), 18'000'000'000'000'000'000u);
+  EXPECT_FALSE(valid_ms(std::nan("")));
+  EXPECT_FALSE(valid_ms(kMaxMs * 2));
+  EXPECT_TRUE(valid_ms(kMaxMs));
 }
 
 // ---------------------------------------------------------- distributions --
@@ -445,6 +453,16 @@ TEST(LatencyModelTest, LognormalMedianApproximation) {
     samples.push_back(static_cast<double>(m.sample(rng)));
   std::nth_element(samples.begin(), samples.begin() + 5000, samples.end());
   EXPECT_NEAR(samples[5000], 1e6, 1e5);
+}
+
+TEST(LatencyModelTest, HeavyTailSaturatesAtTheLargestDuration) {
+  // sigma = 40 puts a large share of samples far past 2^64 ns; they
+  // saturate instead of casting out of range.
+  Rng rng(1);
+  const LatencyModel m = LatencyModel::lognormal(milliseconds(1), 40);
+  Duration largest = 0;
+  for (int i = 0; i < 1000; ++i) largest = std::max(largest, m.sample(rng));
+  EXPECT_EQ(largest, std::numeric_limits<Duration>::max());
 }
 
 TEST(LatencyModelTest, ParetoBounded) {
