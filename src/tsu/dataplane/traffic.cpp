@@ -5,11 +5,10 @@
 namespace tsu::dataplane {
 
 TrafficSource::TrafficSource(sim::Simulator& simulator,
-                             std::vector<switchsim::SimSwitch*> switches,
-                             TrafficConfig config, Rng rng,
-                             ConsistencyMonitor& monitor)
-    : home_sim_(&simulator), switches_(std::move(switches)), config_(config),
-      rng_(rng), monitor_(monitor) {
+                             const Switches& switches, TrafficConfig config,
+                             Rng rng, ConsistencyMonitor& monitor)
+    : home_sim_(&simulator), switches_(switches), config_(config), rng_(rng),
+      monitor_(monitor) {
   TSU_ASSERT(config_.ingress < switches_.size() &&
              switches_[config_.ingress] != nullptr);
   TSU_ASSERT(config_.egress < switches_.size() &&
@@ -18,11 +17,10 @@ TrafficSource::TrafficSource(sim::Simulator& simulator,
 
 TrafficSource::TrafficSource(sim::ShardedSim& group,
                              const topo::SwitchPartition& partition,
-                             std::vector<switchsim::SimSwitch*> switches,
-                             TrafficConfig config, Rng rng,
-                             ConsistencyMonitor& monitor)
+                             const Switches& switches, TrafficConfig config,
+                             Rng rng, ConsistencyMonitor& monitor)
     : home_sim_(&group.shard(partition.shard_of(config.ingress))),
-      group_(&group), partition_(&partition), switches_(std::move(switches)),
+      group_(&group), partition_(&partition), switches_(switches),
       config_(config), rng_(rng), monitor_(monitor) {
   TSU_ASSERT(config_.ingress < switches_.size() &&
              switches_[config_.ingress] != nullptr);
@@ -78,9 +76,8 @@ void TrafficSource::hop(LivePacket live, NodeId at) {
 
   // Look up the live flow table *now*; the rule may have changed since the
   // previous hop - that is the whole point of the experiment.
-  const std::optional<flow::FlowRule> rule =
-      switches_[at]->table().lookup(live.packet);
-  if (!rule.has_value() || rule->action.kind == flow::ActionKind::kDrop) {
+  const flow::FlowRule* rule = switches_[at]->table().find(live.packet);
+  if (rule == nullptr || rule->action.kind == flow::ActionKind::kDrop) {
     finish(live, PacketOutcome::kBlackholed, here.now());
     return;
   }

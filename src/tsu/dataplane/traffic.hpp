@@ -46,18 +46,27 @@ struct TrafficConfig {
 
 class TrafficSource {
  public:
+  using Switches = std::vector<switchsim::SimSwitch*>;
+
   // Single-queue operation: everything runs on `simulator`.
   // `switches` is indexed by NodeId; entries may be null for non-switch ids.
-  TrafficSource(sim::Simulator& simulator,
-                std::vector<switchsim::SimSwitch*> switches,
+  // The source reads the caller's vector - one per run, shared by every
+  // source - so it must outlive the source.
+  TrafficSource(sim::Simulator& simulator, const Switches& switches,
                 TrafficConfig config, Rng rng, ConsistencyMonitor& monitor);
 
   // Sharded operation (see the file comment): injection lives on the
   // ingress switch's shard; hops follow the packet across shard queues.
-  // `partition` must outlive the source.
+  // `partition` and `switches` must outlive the source.
   TrafficSource(sim::ShardedSim& group, const topo::SwitchPartition& partition,
-                std::vector<switchsim::SimSwitch*> switches,
-                TrafficConfig config, Rng rng, ConsistencyMonitor& monitor);
+                const Switches& switches, TrafficConfig config, Rng rng,
+                ConsistencyMonitor& monitor);
+
+  // A temporary switch vector would dangle.
+  TrafficSource(sim::Simulator&, Switches&&, TrafficConfig, Rng,
+                ConsistencyMonitor&) = delete;
+  TrafficSource(sim::ShardedSim&, const topo::SwitchPartition&, Switches&&,
+                TrafficConfig, Rng, ConsistencyMonitor&) = delete;
 
   // Schedules the first injection; the source then self-perpetuates until
   // `config.stop`.
@@ -127,7 +136,7 @@ class TrafficSource {
   sim::Simulator* home_sim_;                       // ingress shard's queue
   sim::ShardedSim* group_ = nullptr;               // null when unsharded
   const topo::SwitchPartition* partition_ = nullptr;
-  std::vector<switchsim::SimSwitch*> switches_;
+  const Switches& switches_;
   TrafficConfig config_;
   Rng rng_;
   ConsistencyMonitor& monitor_;

@@ -64,9 +64,9 @@ class Simulator {
   }
 
   std::size_t pending() const noexcept { return queue_.size(); }
-  // Heap slots including lazily cancelled ones (see EventQueue::heap_size);
-  // exposed so cancel-heavy clients (the controller's flush timers) can pin
-  // the compaction bound end to end.
+  // Queued entries including lazily cancelled ones (see
+  // EventQueue::heap_size); exposed so cancel-heavy clients (the
+  // controller's flush timers) can pin the compaction bound end to end.
   std::size_t heap_size() const noexcept { return queue_.heap_size(); }
 
  private:

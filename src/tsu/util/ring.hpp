@@ -39,8 +39,19 @@ class FlatRing {
   // later push into the same slot.
   void pop_front() noexcept {
     TSU_ASSERT(count_ > 0);
-    head_ = (head_ + 1) % slots_.size();
+    head_ = wrap(head_ + 1);
     --count_;
+  }
+
+  // Drops the newest element (its slot survives, like pop_front's).
+  void pop_back() noexcept {
+    TSU_ASSERT(count_ > 0);
+    --count_;
+  }
+
+  const T& back() const noexcept {
+    TSU_ASSERT(count_ > 0);
+    return slots_[wrap(head_ + count_ - 1)];
   }
 
   void push_back(const T& value) { *next_slot() = value; }
@@ -52,6 +63,20 @@ class FlatRing {
     if (n > slots_.size()) grow(n);
   }
 
+  // Removes every element matching `pred` in place, keeping the order of
+  // the rest; no allocation.
+  template <typename Pred>
+  void erase_if(Pred pred) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < count_; ++i) {
+      T& element = slots_[wrap(head_ + i)];
+      if (pred(std::as_const(element))) continue;
+      if (kept != i) slots_[wrap(head_ + kept)] = std::move(element);
+      ++kept;
+    }
+    count_ = kept;
+  }
+
   // Drops the queued elements; slots (and their capacity) stay.
   void clear() noexcept {
     head_ = 0;
@@ -61,15 +86,21 @@ class FlatRing {
  private:
   T* next_slot() {
     if (count_ == slots_.size()) grow(count_ == 0 ? 8 : count_ * 2);
-    T* slot = &slots_[(head_ + count_) % slots_.size()];
+    T* slot = &slots_[wrap(head_ + count_)];
     ++count_;
     return slot;
+  }
+
+  // Index `i` (< 2 x capacity) folded into the slot vector: a compare
+  // instead of a division on every push and pop.
+  std::size_t wrap(std::size_t i) const noexcept {
+    return i >= slots_.size() ? i - slots_.size() : i;
   }
 
   void grow(std::size_t capacity) {
     std::vector<T> bigger(capacity);
     for (std::size_t i = 0; i < count_; ++i)
-      bigger[i] = std::move(slots_[(head_ + i) % slots_.size()]);
+      bigger[i] = std::move(slots_[wrap(head_ + i)]);
     slots_ = std::move(bigger);
     head_ = 0;
   }

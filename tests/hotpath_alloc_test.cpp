@@ -6,7 +6,9 @@
 // allocations:
 //
 //   - EventQueue push/pop churn over a warm slot arena (the "1000-flow
-//     pool" hot loop),
+//     pool" hot loop), and constant-delay lanes drained, reclaimed for new
+//     delays and refilled,
+//   - flow-table lookups through the exact-flow index,
 //   - a full channel round-trip (pooled frame -> codec -> delivery event),
 //   - data-plane packet hops across live flow tables,
 //   - ShardedSim::run() over cross-shard posts.
@@ -24,6 +26,7 @@
 #include "tsu/core/service.hpp"
 #include "tsu/dataplane/monitor.hpp"
 #include "tsu/dataplane/traffic.hpp"
+#include "tsu/flow/table.hpp"
 #include "tsu/proto/codec.hpp"
 #include "tsu/proto/messages.hpp"
 #include "tsu/sim/event_queue.hpp"
@@ -74,6 +77,95 @@ TEST(HotPathAllocTest, EventQueuePoolHotLoopAllocatesNothing) {
   // the cancelled probes never do.
   while (!q.empty()) q.pop().fn();
   EXPECT_EQ(fired, 102000u);
+}
+
+// A self-re-arming event: each firing schedules its successor `*delay`
+// after the current time, like a packet hop or an injection timer.
+struct Rearm {
+  sim::EventQueue* q;
+  const sim::SimTime* now;
+  const sim::Duration* delay;
+  std::uint64_t* fired;
+  void operator()() const {
+    ++*fired;
+    q->push(*now + *delay, *this);
+  }
+};
+
+TEST(HotPathAllocTest, ConstantDelayLanesAllocateNothingOnceWarm) {
+  // 32 chains re-arm with a fixed 50-tick hop delay and 32 with a phase
+  // delay that moves through ten values, more than the queue has lanes:
+  // at every phase change the old delay's lane drains and a lane is
+  // reclaimed for the new one. Once two full cycles have brought every
+  // lane ring to its high-water mark, a third cycle - appends, claims,
+  // reclaims and pops - must not touch the allocator.
+  constexpr sim::Duration kPhaseDelays[] = {200, 70,  90,  110, 130,
+                                            150, 170, 190, 210, 230};
+  constexpr int kPopsPerPhase = 2000;
+  sim::EventQueue q;
+  sim::SimTime now = 0;
+  const sim::Duration hop = 50;
+  sim::Duration phase_delay = kPhaseDelays[0];
+  std::uint64_t fired = 0;
+  for (int i = 0; i < 32; ++i) {
+    q.push(static_cast<sim::SimTime>(i), Rearm{&q, &now, &hop, &fired});
+    q.push(static_cast<sim::SimTime>(i), Rearm{&q, &now, &phase_delay, &fired});
+  }
+  const auto run_cycle = [&]() {
+    for (const sim::Duration delay : kPhaseDelays) {
+      phase_delay = delay;
+      for (int i = 0; i < kPopsPerPhase; ++i) {
+        sim::EventQueue::Fired event = q.pop();
+        now = event.time;
+        event.fn();
+      }
+    }
+  };
+  run_cycle();
+  run_cycle();
+  const sim::EventQueue::Counters warm = q.counters();
+  const std::uint64_t before = allocs();
+  run_cycle();
+  const std::uint64_t during = allocs() - before;
+  EXPECT_EQ(during, 0u) << "lane appends, claims or reclaims hit the allocator";
+
+  // Vacuity guards: the window reclaimed lanes, and lanes - not the heap -
+  // took almost every push.
+  const sim::EventQueue::Counters& c = q.counters();
+  EXPECT_GE(c.lane_claims - warm.lane_claims, std::size(kPhaseDelays));
+  const std::uint64_t appends = c.lane_appends - warm.lane_appends;
+  const std::uint64_t spills = c.heap_spills - warm.heap_spills;
+  EXPECT_GT(appends, 99 * spills);
+  EXPECT_EQ(appends + spills, std::size(kPhaseDelays) * kPopsPerPhase);
+}
+
+TEST(HotPathAllocTest, FlowTableFindAllocatesNothing) {
+  // A lookup is one hash probe plus a walk of two index chains over the
+  // table's own storage: no copy of the rule, no allocation.
+  flow::FlowTable table;
+  for (FlowId f = 1; f <= 32; ++f)
+    table.add(flow::FlowRule{flow::Match::exact_flow(f),
+                             flow::Action::forward(static_cast<NodeId>(f)),
+                             100, 0});
+  flow::Match wildcard_src;
+  wildcard_src.src_host = 3;
+  table.add(flow::FlowRule{wildcard_src, flow::Action::drop(), 200, 0});
+  table.add(flow::FlowRule{flow::Match::wildcard(), flow::Action::drop(), 1, 0});
+  std::uint64_t forwarded = 0;
+  std::uint64_t expected = 0;
+  const std::uint64_t before = allocs();
+  for (std::uint32_t i = 0; i < 10000; ++i) {
+    flow::Packet packet;
+    packet.flow = 1 + i % 40;
+    packet.src_host = i % 7;
+    const flow::FlowRule* rule = table.find(packet);
+    if (rule != nullptr && rule->action.kind == flow::ActionKind::kForward)
+      ++forwarded;
+    // Flows 1..32 forward unless sent from host 3; the rest hit a drop.
+    if (packet.flow <= 32 && packet.src_host != 3) ++expected;
+  }
+  EXPECT_EQ(allocs() - before, 0u) << "FlowTable::find hit the allocator";
+  EXPECT_EQ(forwarded, expected);
 }
 
 TEST(HotPathAllocTest, BatchDecodeReservesItsElementsOnce) {

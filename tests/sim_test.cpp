@@ -5,8 +5,11 @@
 #include <cstddef>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "tsu/sim/distributions.hpp"
@@ -14,6 +17,7 @@
 #include "tsu/sim/inline_fn.hpp"
 #include "tsu/sim/sharded.hpp"
 #include "tsu/sim/simulator.hpp"
+#include "tsu/util/rng.hpp"
 
 namespace tsu::sim {
 namespace {
@@ -111,6 +115,154 @@ TEST(EventQueueTest, SizeTracksLiveEvents) {
   EXPECT_EQ(q.size(), 1u);
   q.pop();
   EXPECT_TRUE(q.empty());
+}
+
+// ---------------------------------------- EventQueue order equivalence --
+
+// The order a single (time, band, major, minor) heap defines: native major
+// is push order, remote (major, minor) is (posted_at, remote_seq). `label`
+// names the event and never decides (the keys before it are unique).
+struct RefKey {
+  SimTime time;
+  int band;
+  std::uint64_t major;
+  std::uint64_t minor;
+  std::uint64_t label;
+  auto operator<=>(const RefKey&) const = default;
+};
+
+// One seeded push/cancel/pop mix against the reference: constant-delay
+// streams (more of them than lanes, so lanes are reclaimed), one-off
+// delays, same-instant and past pushes, remote posts keyed out of
+// insertion order, random cancels of live and dead ids, and push-then-
+// cancel churn that forces compaction, with peeks in between.
+struct QueueMix {
+  explicit QueueMix(std::uint64_t seed) : rng(seed) {
+    for (int i = 0; i < 12; ++i) streams.push_back(rng.uniform_u64(0, 400));
+  }
+
+  EventId push(SimTime at, bool remote) {
+    const std::uint64_t label = pushes++;
+    RefKey key{at, 0, label, 0, label};
+    EventId id;
+    const auto fn = [this, label]() { fired = label; };
+    if (remote) {
+      const SimTime posted_at = rng.uniform_u64(0, now);
+      const std::uint64_t remote_seq = rng.index(4) << 48 | remote_posts++;
+      key = RefKey{at, 1, posted_at, remote_seq, label};
+      id = q.push(at, fn, EventQueue::Band::kRemote, posted_at, remote_seq);
+    } else {
+      id = q.push(at, fn);
+    }
+    ref.insert(key);
+    key_of.emplace(id, key);
+    ids.push_back(id);
+    return id;
+  }
+
+  void cancel(EventId id) {
+    const std::size_t entries = q.heap_size();
+    const bool cancelled = q.cancel(id);
+    ASSERT_EQ(cancelled, ref.erase(key_of.at(id)) == 1u);
+    // A cancel alone removes at most its own entry; more is a compaction.
+    if (q.heap_size() + 1 < entries) ++compactions;
+  }
+
+  void pop() {
+    if (ref.empty()) {
+      ASSERT_TRUE(q.empty());
+      return;
+    }
+    const RefKey expected = *ref.begin();
+    ref.erase(ref.begin());
+    ASSERT_EQ(q.next_time(), expected.time);
+    EventQueue::Fired event = q.pop();
+    ASSERT_EQ(event.time, expected.time);
+    event.fn();
+    ASSERT_EQ(fired, expected.label);
+    now = event.time;
+  }
+
+  void step() {
+    // Peeking caches the earliest entry; every later push or cancel must
+    // drop that cache.
+    if (!ref.empty() && rng.bernoulli(0.3)) {
+      ASSERT_EQ(q.next_time(), ref.begin()->time);
+    }
+    const std::size_t op = rng.index(100);
+    if (op < 40) {
+      const Duration delay = streams[rng.index(streams.size())];
+      for (std::size_t n = 1 + rng.index(3); n > 0; --n)
+        push(now + delay, false);
+    } else if (op < 48) {
+      push(now + rng.uniform_u64(0, 1000), false);
+    } else if (op < 53) {
+      push(now, false);
+    } else if (op < 55) {
+      push(now - rng.uniform_u64(0, std::min<SimTime>(now, 50)), false);
+    } else if (op < 63) {
+      push(now + rng.uniform_u64(0, 300), true);
+    } else if (op < 72 && !ids.empty()) {
+      cancel(ids[rng.index(ids.size())]);
+    } else if (op < 75) {
+      std::vector<EventId> churn;
+      const Duration delay = streams[rng.index(streams.size())];
+      for (std::size_t n = 20 + rng.index(80); n > 0; --n)
+        churn.push_back(push(now + delay + rng.index(2), rng.bernoulli(0.1)));
+      for (std::size_t i = 0; i + 1 < churn.size(); ++i) cancel(churn[i]);
+    } else {
+      pop();
+    }
+    ASSERT_EQ(q.size(), ref.size());
+  }
+
+  Rng rng;
+  std::vector<Duration> streams;
+  EventQueue q;
+  std::set<RefKey> ref;
+  std::map<EventId, RefKey> key_of;  // every id ever issued
+  std::vector<EventId> ids;
+  std::uint64_t pushes = 0;
+  std::uint64_t remote_posts = 0;
+  std::uint64_t fired = ~std::uint64_t{0};
+  std::uint64_t compactions = 0;
+  SimTime now = 0;
+};
+
+TEST(EventQueuePropertyTest, PopsAndCancelsMatchTheReferenceOrder) {
+  constexpr std::uint64_t kSeeds = 500;
+  EventQueue::Counters total;
+  std::uint64_t compactions = 0;
+  std::uint64_t most_claims = 0;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    SCOPED_TRACE(seed);
+    QueueMix mix(seed);
+    for (int i = 0; i < 400; ++i) {
+      mix.step();
+      if (testing::Test::HasFatalFailure()) return;
+    }
+    while (!mix.ref.empty()) {
+      mix.pop();
+      if (testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_TRUE(mix.q.empty());
+    const EventQueue::Counters& c = mix.q.counters();
+    total.lane_appends += c.lane_appends;
+    total.lane_claims += c.lane_claims;
+    total.heap_spills += c.heap_spills;
+    total.remote_pops += c.remote_pops;
+    compactions += mix.compactions;
+    most_claims = std::max(most_claims, c.lane_claims);
+  }
+  // Vacuity guards: every path the order rests on was taken - lane
+  // appends, lane claims, lanes reclaimed for a new delay (more claims
+  // than lanes), heap spills, remote pops and compactions.
+  EXPECT_GT(total.lane_appends, 10000u);
+  EXPECT_GT(total.heap_spills, 10000u);
+  EXPECT_GT(total.lane_claims, kSeeds);
+  EXPECT_GT(most_claims, EventQueue::kLanes);
+  EXPECT_GT(total.remote_pops, 1000u);
+  EXPECT_GT(compactions, kSeeds);
 }
 
 // -------------------------------------------------------------- Simulator --
