@@ -102,9 +102,10 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
 
   for (const auto& [key, field] : value.as_object()) {
     if (key == "seed") {
-      if (!field.is_number() || field.as_int() < 0)
-        return make_error(Errc::kParseError, "'seed' must be >= 0");
-      config.seed = static_cast<std::uint64_t>(field.as_int());
+      const std::optional<std::int64_t> seed = field.int_in(0);
+      if (!seed)
+        return make_error(Errc::kParseError, "'seed' must be an integer >= 0");
+      config.seed = static_cast<std::uint64_t>(*seed);
     } else if (key == "channel") {
       if (!field.is_object())
         return make_error(Errc::kParseError, "'channel' must be an object");
@@ -163,10 +164,11 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
         return make_error(Errc::kParseError, "'use_barriers' must be a bool");
       config.controller.use_barriers = field.as_bool();
     } else if (key == "max_in_flight") {
-      if (!field.is_number() || field.as_int() < 1)
-        return make_error(Errc::kOutOfRange, "'max_in_flight' must be >= 1");
-      config.controller.max_in_flight =
-          static_cast<std::size_t>(field.as_int());
+      const std::optional<std::int64_t> limit = field.int_in(1);
+      if (!limit)
+        return make_error(Errc::kOutOfRange,
+                          "'max_in_flight' must be an integer >= 1");
+      config.controller.max_in_flight = static_cast<std::size_t>(*limit);
     } else if (key == "batch_mode") {
       if (!field.is_string())
         return make_error(Errc::kParseError, "'batch_mode' must be a string");
@@ -182,10 +184,11 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
         return make_error(Errc::kOutOfRange, "'batch_window_ms' out of range");
       config.controller.batch_window = ms(field.as_double());
     } else if (key == "batch_bytes") {
-      if (!field.is_number() || field.as_int() < 1)
-        return make_error(Errc::kOutOfRange, "'batch_bytes' must be >= 1");
-      config.controller.batch_bytes =
-          static_cast<std::size_t>(field.as_int());
+      const std::optional<std::int64_t> bytes = field.int_in(1);
+      if (!bytes)
+        return make_error(Errc::kOutOfRange,
+                          "'batch_bytes' must be an integer >= 1");
+      config.controller.batch_bytes = static_cast<std::size_t>(*bytes);
     } else if (key == "admission") {
       if (!field.is_string())
         return make_error(Errc::kParseError, "'admission' must be a string");
@@ -214,11 +217,11 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
                           "'plan_cache' must be \"on\" or \"off\"");
       config.controller.plan_cache = field.as_string() == "on";
     } else if (key == "shards") {
-      if (!field.is_number() || field.as_int() < 1 ||
-          field.as_int() >
-              static_cast<std::int64_t>(proto::kMaxXidShards))
+      const std::optional<std::int64_t> shards =
+          field.int_in(1, static_cast<std::int64_t>(proto::kMaxXidShards));
+      if (!shards)
         return make_error(Errc::kOutOfRange, "'shards' must be in [1, 256]");
-      config.controller.shards = static_cast<std::size_t>(field.as_int());
+      config.controller.shards = static_cast<std::size_t>(*shards);
     } else if (key == "partition") {
       if (!field.is_string())
         return make_error(Errc::kParseError, "'partition' must be a string");
@@ -230,14 +233,15 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
                               "' (hash | block | greedy_cut)");
       config.controller.partition = *scheme;
     } else if (key == "flow") {
-      if (!field.is_number() || field.as_int() < 0)
-        return make_error(Errc::kParseError, "'flow' must be >= 0");
-      config.flow = static_cast<FlowId>(field.as_int());
+      const std::optional<std::int64_t> flow = field.int_in(0);
+      if (!flow)
+        return make_error(Errc::kParseError, "'flow' must be an integer >= 0");
+      config.flow = static_cast<FlowId>(*flow);
     } else if (key == "priority") {
-      if (!field.is_number() || field.as_int() < 0 ||
-          field.as_int() > 0xffff)
+      const std::optional<std::int64_t> priority = field.int_in(0, 0xffff);
+      if (!priority)
         return make_error(Errc::kOutOfRange, "'priority' out of range");
-      config.priority = static_cast<std::uint16_t>(field.as_int());
+      config.priority = static_cast<std::uint16_t>(*priority);
     } else if (key == "interval_ms") {
       if (!field.is_number() || !sim::valid_ms(field.as_double()))
         return make_error(Errc::kOutOfRange, "'interval_ms' out of range");
@@ -288,10 +292,9 @@ Result<ExecutorConfig> config_from_json(const json::Value& value) {
           if (!model.ok()) return model.error();
           config.link_latency = model.value();
         } else if (tkey == "ttl") {
-          if (!tval.is_number() || tval.as_int() < 1 ||
-              tval.as_int() > 1024)
-            return make_error(Errc::kOutOfRange, "'ttl' out of range");
-          config.ttl = static_cast<int>(tval.as_int());
+          const std::optional<std::int64_t> ttl = tval.int_in(1, 1024);
+          if (!ttl) return make_error(Errc::kOutOfRange, "'ttl' out of range");
+          config.ttl = static_cast<int>(*ttl);
         } else if (tkey == "warmup_ms") {
           Result<double> v = optional_number(traffic, "warmup_ms", 5, 0);
           if (!v.ok()) return v.error();
@@ -454,13 +457,16 @@ Result<ServiceConfig> service_config_from_json(const json::Value& value) {
 
   for (const auto& [key, field] : service_block->as_object()) {
     if (key == "flows") {
-      if (!field.is_number() || field.as_int() < 1)
-        return make_error(Errc::kOutOfRange, "'flows' must be >= 1");
-      config.flows = static_cast<std::size_t>(field.as_int());
+      const std::optional<std::int64_t> flows = field.int_in(1);
+      if (!flows)
+        return make_error(Errc::kOutOfRange, "'flows' must be an integer >= 1");
+      config.flows = static_cast<std::size_t>(*flows);
     } else if (key == "pool_switches") {
-      if (!field.is_number() || field.as_int() < 1)
-        return make_error(Errc::kOutOfRange, "'pool_switches' must be >= 1");
-      config.pool_switches = static_cast<std::size_t>(field.as_int());
+      const std::optional<std::int64_t> switches = field.int_in(1);
+      if (!switches)
+        return make_error(Errc::kOutOfRange,
+                          "'pool_switches' must be an integer >= 1");
+      config.pool_switches = static_cast<std::size_t>(*switches);
     } else if (key == "alternate_directions") {
       if (!field.is_bool())
         return make_error(Errc::kParseError,
@@ -490,17 +496,22 @@ Result<ServiceConfig> service_config_from_json(const json::Value& value) {
         return make_error(Errc::kOutOfRange, "'horizon_ms' out of range");
       config.horizon = ms(field.as_double());
     } else if (key == "target") {
-      if (!field.is_number() || field.as_int() < 0)
-        return make_error(Errc::kOutOfRange, "'target' must be >= 0");
-      config.target_completions = static_cast<std::uint64_t>(field.as_int());
+      const std::optional<std::int64_t> target = field.int_in(0);
+      if (!target)
+        return make_error(Errc::kOutOfRange, "'target' must be an integer >= 0");
+      config.target_completions = static_cast<std::uint64_t>(*target);
     } else if (key == "max_pending") {
-      if (!field.is_number() || field.as_int() < 1)
-        return make_error(Errc::kOutOfRange, "'max_pending' must be >= 1");
-      config.max_pending = static_cast<std::size_t>(field.as_int());
+      const std::optional<std::int64_t> pending = field.int_in(1);
+      if (!pending)
+        return make_error(Errc::kOutOfRange,
+                          "'max_pending' must be an integer >= 1");
+      config.max_pending = static_cast<std::size_t>(*pending);
     } else if (key == "submit_depth") {
-      if (!field.is_number() || field.as_int() < 0)
-        return make_error(Errc::kOutOfRange, "'submit_depth' must be >= 0");
-      config.submit_depth = static_cast<std::size_t>(field.as_int());
+      const std::optional<std::int64_t> depth = field.int_in(0);
+      if (!depth)
+        return make_error(Errc::kOutOfRange,
+                          "'submit_depth' must be an integer >= 0");
+      config.submit_depth = static_cast<std::size_t>(*depth);
     } else if (key == "classes") {
       if (!field.is_array() || field.as_array().empty())
         return make_error(Errc::kParseError,
@@ -515,15 +526,20 @@ Result<ServiceConfig> service_config_from_json(const json::Value& value) {
           if (!cval.is_number() || cval.as_double() < 0)
             return make_error(Errc::kOutOfRange,
                               "class field '" + ckey + "' must be >= 0");
-          if (ckey == "rate_limit_per_sec")
+          if (ckey == "rate_limit_per_sec") {
             cls.rate_limit_per_sec = cval.as_double();
-          else if (ckey == "burst")
+          } else if (ckey == "burst") {
+            // Whole requests: the token bucket holds no fractional burst.
+            if (!cval.int_in(0))
+              return make_error(Errc::kOutOfRange,
+                                "class field 'burst' must be an integer");
             cls.burst = cval.as_double();
-          else if (ckey == "weight")
+          } else if (ckey == "weight") {
             cls.weight = cval.as_double();
-          else
+          } else {
             return make_error(Errc::kParseError,
                               "unknown class field '" + ckey + "'");
+          }
         }
         config.classes.push_back(cls);
       }
@@ -533,9 +549,11 @@ Result<ServiceConfig> service_config_from_json(const json::Value& value) {
                           "'snapshot_interval_ms' out of range");
       config.snapshot_interval = ms(field.as_double());
     } else if (key == "snapshot_window") {
-      if (!field.is_number() || field.as_int() < 1)
-        return make_error(Errc::kOutOfRange, "'snapshot_window' must be >= 1");
-      config.snapshot_window = static_cast<std::size_t>(field.as_int());
+      const std::optional<std::int64_t> window = field.int_in(1);
+      if (!window)
+        return make_error(Errc::kOutOfRange,
+                          "'snapshot_window' must be an integer >= 1");
+      config.snapshot_window = static_cast<std::size_t>(*window);
     } else {
       return make_error(Errc::kParseError,
                         "unknown service field '" + key + "'");

@@ -40,6 +40,19 @@ std::int64_t Value::as_int() const {
   return static_cast<std::int64_t>(num_);
 }
 
+std::optional<std::int64_t> Value::int_in(std::int64_t min,
+                                          std::int64_t max) const noexcept {
+  constexpr double kLimit = static_cast<double>(kMaxExactInt);
+  // The range test comes first: it also turns away NaN and infinities,
+  // and keeps the cast below defined.
+  if (!is_number() || !(num_ >= -kLimit && num_ <= kLimit) ||
+      std::nearbyint(num_) != num_)
+    return std::nullopt;
+  const auto value = static_cast<std::int64_t>(num_);
+  if (value < min || value > max) return std::nullopt;
+  return value;
+}
+
 void Value::copy_from(const Value& other) {
   type_ = other.type_;
   bool_ = other.bool_;

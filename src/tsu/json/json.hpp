@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -27,6 +28,9 @@ namespace tsu::json {
 class Value;
 
 using Array = std::vector<Value>;
+
+// The largest magnitude a JSON number (a double) holds as an exact integer.
+inline constexpr std::int64_t kMaxExactInt = std::int64_t{1} << 53;
 
 // Insertion-ordered object: preserves the order keys appear in the input,
 // which keeps round-tripped REST messages diffable.
@@ -94,6 +98,12 @@ class Value {
   }
   // Integer view of a number; asserts the value is integral and in range.
   std::int64_t as_int() const;
+  // Checked integer read for external documents: the value when it is an
+  // integral number in [min, max], std::nullopt otherwise (not a number,
+  // fractional, or out of range). Never asserts.
+  std::optional<std::int64_t> int_in(std::int64_t min,
+                                     std::int64_t max = kMaxExactInt) const
+      noexcept;
   const std::string& as_string() const {
     TSU_ASSERT(is_string());
     return str_;

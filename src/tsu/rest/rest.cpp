@@ -1,5 +1,7 @@
 #include "tsu/rest/rest.hpp"
 
+#include <limits>
+
 #include "tsu/json/json.hpp"
 #include "tsu/util/strings.hpp"
 
@@ -10,9 +12,11 @@ namespace {
 // Datapath numbers may be JSON numbers or numeric strings.
 Result<DatapathId> as_dpid(const json::Value& value) {
   if (value.is_number()) {
-    const std::int64_t n = value.as_int();
-    if (n < 0) return make_error(Errc::kParseError, "negative datapath id");
-    return static_cast<DatapathId>(n);
+    const std::optional<std::int64_t> n = value.int_in(0);
+    if (!n)
+      return make_error(Errc::kParseError,
+                        "datapath id is not a non-negative integer");
+    return static_cast<DatapathId>(*n);
   }
   if (value.is_string()) {
     const auto n = parse_int(value.as_string());
@@ -65,15 +69,18 @@ Result<FlowModSpec> parse_flow_mod(const json::Value& value,
   if (const json::Value* priority = obj.find("priority")) {
     if (!priority->is_number())
       return make_error(Errc::kParseError, "'priority' must be a number");
-    const std::int64_t p = priority->as_int();
-    if (p < 0 || p > 0xffff)
-      return make_error(Errc::kOutOfRange, "'priority' out of range");
-    spec.mod.priority = static_cast<std::uint16_t>(p);
+    const std::optional<std::int64_t> p = priority->int_in(0, 0xffff);
+    if (!p) return make_error(Errc::kOutOfRange, "'priority' out of range");
+    spec.mod.priority = static_cast<std::uint16_t>(*p);
   }
   if (const json::Value* cookie = obj.find("cookie")) {
     if (!cookie->is_number())
       return make_error(Errc::kParseError, "'cookie' must be a number");
-    spec.mod.cookie = static_cast<std::uint64_t>(cookie->as_int());
+    const std::optional<std::int64_t> c = cookie->int_in(0);
+    if (!c)
+      return make_error(Errc::kOutOfRange,
+                        "'cookie' must be an integer in [0, 2^53]");
+    spec.mod.cookie = static_cast<std::uint64_t>(*c);
   }
 
   if (const json::Value* match = obj.find("match")) {
@@ -83,17 +90,27 @@ Result<FlowModSpec> parse_flow_mod(const json::Value& value,
       if (!field.is_number())
         return make_error(Errc::kParseError,
                           "match field '" + key + "' must be a number");
-      if (key == "flow")
-        spec.mod.match.flow = static_cast<FlowId>(field.as_int());
-      else if (key == "src")
-        spec.mod.match.src_host = static_cast<NodeId>(field.as_int());
-      else if (key == "dst")
-        spec.mod.match.dst_host = static_cast<NodeId>(field.as_int());
+      // Flow ids span the exact-integer range, hosts are node ids.
+      std::int64_t max = json::kMaxExactInt;
+      if (key == "src" || key == "dst")
+        max = kInvalidNode - 1;
       else if (key == "in_port")
-        spec.mod.match.in_port = static_cast<std::uint32_t>(field.as_int());
-      else
+        max = std::numeric_limits<std::uint32_t>::max();
+      else if (key != "flow")
         return make_error(Errc::kParseError,
                           "unknown match field '" + key + "'");
+      const std::optional<std::int64_t> n = field.int_in(0, max);
+      if (!n)
+        return make_error(Errc::kOutOfRange,
+                          "match field '" + key + "' out of range");
+      if (key == "flow")
+        spec.mod.match.flow = static_cast<FlowId>(*n);
+      else if (key == "src")
+        spec.mod.match.src_host = static_cast<NodeId>(*n);
+      else if (key == "dst")
+        spec.mod.match.dst_host = static_cast<NodeId>(*n);
+      else
+        spec.mod.match.in_port = static_cast<std::uint32_t>(*n);
     }
   }
 
@@ -101,17 +118,23 @@ Result<FlowModSpec> parse_flow_mod(const json::Value& value,
     if (!actions->is_array())
       return make_error(Errc::kParseError, "'actions' must be an array");
     for (const json::Value& entry : actions->as_array()) {
-      if (!entry.is_object() || entry.as_object().find("type") == nullptr)
-        return make_error(Errc::kParseError, "action needs a 'type'");
+      const json::Value* type_field =
+          entry.is_object() ? entry.as_object().find("type") : nullptr;
+      if (type_field == nullptr || !type_field->is_string())
+        return make_error(Errc::kParseError, "action needs a string 'type'");
       const json::Object& action = entry.as_object();
-      const std::string& type = action.find("type")->as_string();
+      const std::string& type = type_field->as_string();
       if (type == "OUTPUT") {
         const json::Value* port = action.find("port");
         if (port == nullptr || !port->is_number())
           return make_error(Errc::kParseError,
                             "OUTPUT action needs numeric 'port'");
-        spec.mod.action =
-            flow::Action::forward(static_cast<NodeId>(port->as_int()));
+        const std::optional<std::int64_t> next =
+            port->int_in(0, kInvalidNode - 1);
+        if (!next)
+          return make_error(Errc::kOutOfRange,
+                            "OUTPUT 'port' is not a node id");
+        spec.mod.action = flow::Action::forward(static_cast<NodeId>(*next));
       } else if (type == "DELIVER") {
         spec.mod.action = flow::Action::deliver();
       } else if (type == "DROP") {
@@ -182,11 +205,11 @@ Result<RestUpdateMessage> parse_update_message(std::string_view json_text) {
                               "' (request | round)");
       message.admission_release = *release;
     } else if (key == "shards") {
-      if (!value.is_number() || value.as_int() < 1 ||
-          value.as_int() >
-              static_cast<std::int64_t>(proto::kMaxXidShards))
+      const std::optional<std::int64_t> shards =
+          value.int_in(1, static_cast<std::int64_t>(proto::kMaxXidShards));
+      if (!shards)
         return make_error(Errc::kOutOfRange, "'shards' must be in [1, 256]");
-      message.shards = static_cast<std::size_t>(value.as_int());
+      message.shards = static_cast<std::size_t>(*shards);
     } else if (key == "partition") {
       if (!value.is_string())
         return make_error(Errc::kParseError, "'partition' must be a string");
@@ -220,14 +243,17 @@ Result<RestUpdateMessage> parse_update_message(std::string_view json_text) {
                               "' (wait | rollback)");
       message.failure_response = *response;
     } else if (key == "priority_class") {
-      if (!value.is_number() || value.as_int() < 0 || value.as_int() > 255)
+      const std::optional<std::int64_t> cls = value.int_in(0, 255);
+      if (!cls)
         return make_error(Errc::kOutOfRange,
                           "'priority_class' must be in [0, 255]");
-      message.priority_class = static_cast<std::uint32_t>(value.as_int());
+      message.priority_class = static_cast<std::uint32_t>(*cls);
     } else if (key == "max_in_flight") {
-      if (!value.is_number() || value.as_int() < 1)
-        return make_error(Errc::kOutOfRange, "'max_in_flight' must be >= 1");
-      message.max_in_flight = static_cast<std::size_t>(value.as_int());
+      const std::optional<std::int64_t> limit = value.int_in(1);
+      if (!limit)
+        return make_error(Errc::kOutOfRange,
+                          "'max_in_flight' must be an integer >= 1");
+      message.max_in_flight = static_cast<std::size_t>(*limit);
     } else if (key == "batch_mode") {
       if (!value.is_string())
         return make_error(Errc::kParseError, "'batch_mode' must be a string");
@@ -244,9 +270,11 @@ Result<RestUpdateMessage> parse_update_message(std::string_view json_text) {
                           "'batch_window_ms' out of range");
       message.batch_window_ms = value.as_double();
     } else if (key == "batch_bytes") {
-      if (!value.is_number() || value.as_int() < 1)
-        return make_error(Errc::kOutOfRange, "'batch_bytes' must be >= 1");
-      message.batch_bytes = static_cast<std::size_t>(value.as_int());
+      const std::optional<std::int64_t> bytes = value.int_in(1);
+      if (!bytes)
+        return make_error(Errc::kOutOfRange,
+                          "'batch_bytes' must be an integer >= 1");
+      message.batch_bytes = static_cast<std::size_t>(*bytes);
     } else {
       Result<proto::FlowModCommand> command = command_for_key(key);
       if (!command.ok()) return command.error();

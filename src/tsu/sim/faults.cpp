@@ -139,17 +139,21 @@ Result<FaultSchedule> FaultSchedule::from_json(const json::Value& value) {
     event.at = sim::from_ms(at->as_double());
 
     const json::Value* node = obj.find("node");
-    if (node == nullptr || !node->is_number() || node->as_int() < 0)
+    const std::optional<std::int64_t> node_id =
+        node == nullptr ? std::nullopt : node->int_in(0, kInvalidNode - 1);
+    if (!node_id)
       return make_error(Errc::kParseError,
-                        "fault event needs integer 'node' >= 0");
-    event.node = static_cast<NodeId>(node->as_int());
+                        "fault event needs a node id 'node' >= 0");
+    event.node = static_cast<NodeId>(*node_id);
 
     if (event.kind == FaultKind::kBlackhole) {
       const json::Value* frames = obj.find("frames");
       if (frames != nullptr) {
-        if (!frames->is_number() || frames->as_int() < 1)
-          return make_error(Errc::kOutOfRange, "'frames' must be >= 1");
-        event.frames = static_cast<std::size_t>(frames->as_int());
+        const std::optional<std::int64_t> count = frames->int_in(1);
+        if (!count)
+          return make_error(Errc::kOutOfRange,
+                            "'frames' must be an integer >= 1");
+        event.frames = static_cast<std::size_t>(*count);
       }
     } else {
       const json::Value* down = obj.find("down_ms");

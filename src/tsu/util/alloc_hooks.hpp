@@ -1,6 +1,6 @@
 // Global operator new/delete replacement that counts heap allocations -
 // the measurement primitive behind the zero-allocation regression tests
-// and the bench JSON's allocs-per-event figures.
+// and the benchmark's allocation figures (perfbench/).
 //
 // IMPORTANT: include this header in EXACTLY ONE translation unit of a
 // binary (each test/bench executable is a single TU, so its main source
@@ -56,22 +56,6 @@ inline std::uint64_t live_bytes() noexcept {
 // True when live_bytes() actually tracks the heap (glibc).
 inline constexpr bool tracks_live_bytes() noexcept {
   return TSU_ALLOC_HOOKS_HAVE_USABLE_SIZE != 0;
-}
-
-// Setup watermark: benches and tests call mark_setup_complete() the moment
-// harness construction (topology, switches, channels, template pools) is
-// done, freezing the allocation count at that instant. setup_allocations()
-// then reports what setup alone cost - the figure the per-shard setup
-// arenas (util/arena.hpp) are meant to keep from scaling per-object - while
-// the existing bracketing of allocations() keeps measuring the steady
-// state. Process-wide like every other counter here.
-inline std::atomic<std::uint64_t> g_setup_mark{0};
-
-inline void mark_setup_complete() noexcept {
-  g_setup_mark.store(allocations(), std::memory_order_relaxed);
-}
-inline std::uint64_t setup_allocations() noexcept {
-  return g_setup_mark.load(std::memory_order_relaxed);
 }
 
 inline void note_alloc(void* p) noexcept {

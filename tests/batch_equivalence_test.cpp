@@ -112,35 +112,56 @@ TEST(BatchEquivalenceTest, EveryBatchModeMatchesUnbatchedAcross100Seeds) {
 }
 
 TEST(BatchEquivalenceTest, WindowedModesCutFramesOnSharedPool) {
-  // 64 flows over 12 shared switches, all in flight at once: the windowed
-  // outbox must pack cross-instant messages into markedly fewer frames
-  // than both the unbatched and the same-instant-only baselines.
-  const topo::PlannedPoolWorkload w =
-      topo::planned_pool_workload(64, 12).value();
-  ExecutorConfig config = fast_config(7);
-  config.controller.max_in_flight = 64;
-  config.controller.batch_window = sim::microseconds(300);
+  // Every flow in flight at once over shared switches, in two pools: 64
+  // flows over 12 switches with traffic, and 1000 flows over 210 switches
+  // with traffic off on a 0.1 ms channel. The windowed outbox must pack
+  // cross-instant messages into markedly fewer frames than both the
+  // unbatched and the same-instant-only baselines.
+  ExecutorConfig large;
+  large.seed = 4242;
+  large.with_traffic = false;
+  large.channel.latency = sim::LatencyModel::constant(sim::microseconds(100));
+  large.switch_config.install_latency =
+      sim::LatencyModel::constant(sim::microseconds(50));
+  large.controller.admission = controller::AdmissionPolicy::kConflictAware;
+  struct Pool {
+    std::size_t flows;
+    std::size_t switches;
+    ExecutorConfig config;
+  };
+  for (Pool pool : {Pool{64, 12, fast_config(7)}, Pool{1000, 210, large}}) {
+    const topo::PlannedPoolWorkload w =
+        topo::planned_pool_workload(pool.flows, pool.switches).value();
+    ExecutorConfig& config = pool.config;
+    config.controller.max_in_flight = pool.flows;
+    config.controller.batch_window = sim::microseconds(300);
 
-  MultiFlowExecutionResult by_mode[4];
-  for (std::size_t i = 0; i < 4; ++i) {
-    config.controller.batch_mode = kAllModes[i];
-    const Result<MultiFlowExecutionResult> run =
-        execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config);
-    ASSERT_TRUE(run.ok()) << run.error().to_string();
-    by_mode[i] = run.value();
-  }
-  const MultiFlowExecutionResult& off = by_mode[0];
-  for (const std::size_t windowed : {2u, 3u}) {  // window, adaptive
-    const MultiFlowExecutionResult& result = by_mode[windowed];
-    EXPECT_EQ(result.final_state_digest, off.final_state_digest);
-    // The acceptance bar: >= 30% fewer control frames than unbatched.
-    EXPECT_LE(result.frames_sent * 10, off.frames_sent * 7)
-        << controller::to_string(kAllModes[windowed]) << " sent "
-        << result.frames_sent << " frames vs " << off.frames_sent;
-    EXPECT_GT(result.batching.batches_sent, 0u);
-    EXPECT_GT(result.batching.messages_coalesced, 0u);
-    // Cross-instant packing: windowed modes beat same-instant coalescing.
-    EXPECT_LT(result.frames_sent, by_mode[1].frames_sent);
+    MultiFlowExecutionResult by_mode[4];
+    for (std::size_t i = 0; i < 4; ++i) {
+      config.controller.batch_mode = kAllModes[i];
+      const Result<MultiFlowExecutionResult> run =
+          execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config);
+      ASSERT_TRUE(run.ok()) << run.error().to_string();
+      ASSERT_EQ(run.value().flows.size(), pool.flows);
+      by_mode[i] = run.value();
+    }
+    const MultiFlowExecutionResult& off = by_mode[0];
+    EXPECT_EQ(by_mode[1].final_state_digest, off.final_state_digest)
+        << pool.flows << " flows";
+    for (const std::size_t windowed : {2u, 3u}) {  // window, adaptive
+      const MultiFlowExecutionResult& result = by_mode[windowed];
+      EXPECT_EQ(result.final_state_digest, off.final_state_digest)
+          << pool.flows << " flows";
+      // The acceptance bar: >= 30% fewer control frames than unbatched.
+      EXPECT_LE(result.frames_sent * 10, off.frames_sent * 7)
+          << controller::to_string(kAllModes[windowed]) << " sent "
+          << result.frames_sent << " frames vs " << off.frames_sent;
+      EXPECT_GT(result.batching.batches_sent, 0u);
+      EXPECT_GT(result.batching.messages_coalesced, 0u);
+      // Cross-instant packing: windowed modes beat same-instant coalescing.
+      EXPECT_LT(result.frames_sent, by_mode[1].frames_sent)
+          << pool.flows << " flows";
+    }
   }
 }
 

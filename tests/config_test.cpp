@@ -102,6 +102,14 @@ TEST(ConfigTest, UnknownFieldsRejected) {
 
 TEST(ConfigTest, RangeChecks) {
   EXPECT_FALSE(parse(R"({"seed": -1})").ok());
+  EXPECT_FALSE(parse(R"({"seed": 2.5})").ok());
+  EXPECT_FALSE(parse(R"({"max_in_flight": 1e20})").ok());
+  const auto service = [](const char* doc) {
+    return service_config_from_json(std::string_view(doc));
+  };
+  EXPECT_FALSE(service(R"({"service": {"submit_depth": 1e308}})").ok());
+  EXPECT_FALSE(service(R"({"service": {"classes": [{"burst": 2.5}]}})").ok());
+  EXPECT_TRUE(service(R"({"service": {"classes": [{"burst": 3}]}})").ok());
   EXPECT_FALSE(parse(R"({"channel": {"loss": 1.5}})").ok());
   EXPECT_FALSE(parse(R"({"priority": 70000})").ok());
   EXPECT_FALSE(parse(R"({"interval_ms": -2})").ok());

@@ -133,6 +133,21 @@ TEST(FaultScheduleTest, FromJsonRejectsMalformedEvents) {
           std::string_view("[{\"kind\":\"blackhole\",\"at_ms\":1,\"node\":0,"
                            "\"frames\":0}]"))
           .ok());
+  EXPECT_FALSE(  // node id past the exact-integer range
+      FaultSchedule::from_json(
+          std::string_view("[{\"kind\":\"crash\",\"at_ms\":1,"
+                           "\"node\":1e300,\"down_ms\":1}]"))
+          .ok());
+  EXPECT_FALSE(  // node id past NodeId
+      FaultSchedule::from_json(
+          std::string_view("[{\"kind\":\"crash\",\"at_ms\":1,"
+                           "\"node\":4294967296,\"down_ms\":1}]"))
+          .ok());
+  EXPECT_FALSE(  // fractional frame count
+      FaultSchedule::from_json(
+          std::string_view("[{\"kind\":\"blackhole\",\"at_ms\":1,"
+                           "\"node\":0,\"frames\":2.5}]"))
+          .ok());
 }
 
 TEST(FaultScheduleTest, RandomGenerationIsSeedDeterministic) {

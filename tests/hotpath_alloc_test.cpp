@@ -9,20 +9,24 @@
 //     pool" hot loop), and constant-delay lanes drained, reclaimed for new
 //     delays and refilled,
 //   - flow-table lookups through the exact-flow index,
+//   - a codec encode_into + decode round trip on caller-owned scratch,
 //   - a full channel round-trip (pooled frame -> codec -> delivery event),
 //   - data-plane packet hops across live flow tables,
 //   - ShardedSim::run() over cross-shard posts.
 //
 // Any new per-event allocation anywhere on these paths turns a green test
-// red with an exact count - the same counter the bench JSON publishes.
+// red with an exact count.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "tsu/channel/channel.hpp"
+#include "tsu/controller/plan_cache.hpp"
+#include "tsu/controller/update_request.hpp"
 #include "tsu/core/service.hpp"
 #include "tsu/dataplane/monitor.hpp"
 #include "tsu/dataplane/traffic.hpp"
@@ -33,6 +37,7 @@
 #include "tsu/sim/sharded.hpp"
 #include "tsu/sim/simulator.hpp"
 #include "tsu/switchsim/switch.hpp"
+#include "tsu/topo/instances.hpp"
 #include "tsu/util/alloc_hooks.hpp"
 #include "tsu/util/rng.hpp"
 
@@ -182,6 +187,28 @@ TEST(HotPathAllocTest, BatchDecodeReservesItsElementsOnce) {
   EXPECT_EQ(during, 1u) << "batch decode grew its element vector";
 }
 
+TEST(HotPathAllocTest, CodecRoundTripAllocatesNothingOnceWarm) {
+  // encode_into caller-owned scratch, then decode the bytes back: once the
+  // scratch holds one FlowMod's capacity, a round trip over a FlowMod never
+  // touches the allocator.
+  proto::FlowMod mod;
+  mod.match = flow::Match::exact_flow(42);
+  mod.action = flow::Action::forward(7);
+  const proto::Message message = proto::make_flow_mod(1234, mod);
+  std::vector<std::byte> scratch;
+  proto::encode_into(message, scratch);
+  std::uint64_t decoded = 0;
+  const std::uint64_t before = allocs();
+  for (int i = 0; i < 10000; ++i) {
+    proto::encode_into(message, scratch);
+    const Result<proto::Message> round = proto::decode(scratch);
+    if (round.ok() && round.value().type() == proto::MsgType::kFlowMod)
+      ++decoded;
+  }
+  EXPECT_EQ(allocs() - before, 0u) << "codec round trip hit the allocator";
+  EXPECT_EQ(decoded, 10000u);
+}
+
 TEST(HotPathAllocTest, ChannelRoundTripAllocatesNothingOnceWarm) {
   // Send -> pooled frame -> codec encode_into -> delivery event -> decode
   // -> receiver, repeatedly. After the frame pool and event arena warm up,
@@ -256,27 +283,6 @@ TEST(HotPathAllocTest, PacketHopsAllocateNothingOnceWarm) {
       << "packet injection/hops hit the allocator mid-run";
 }
 
-TEST(HotPathAllocTest, SetupWatermarkFreezesTheSetupCount) {
-  // The setup watermark splits the process-global allocation count into a
-  // paid-once setup figure and the steady state: mark_setup_complete()
-  // snapshots the counter, and later allocations move allocations() but
-  // never the frozen setup_allocations() figure (the split the bench JSON
-  // publishes as setup_allocs vs steady_allocs).
-  auto warm = std::make_unique<int>(1);
-  alloc_hooks::mark_setup_complete();
-  const std::uint64_t mark = alloc_hooks::setup_allocations();
-  EXPECT_GE(mark, 1u);
-  auto extra = std::make_unique<int>(2);
-  auto more = std::make_unique<int>(3);
-  EXPECT_EQ(alloc_hooks::setup_allocations(), mark)
-      << "the watermark moved after mark_setup_complete()";
-  EXPECT_GT(allocs(), mark);
-  // Re-marking captures the new count - each measurement phase can reset
-  // its own baseline.
-  alloc_hooks::mark_setup_complete();
-  EXPECT_GT(alloc_hooks::setup_allocations(), mark);
-}
-
 // Self-perpetuating cross-shard work: each bounce posts the next one into
 // the sibling shard's remote band, like a packet hopping across a shard
 // boundary.
@@ -322,6 +328,45 @@ TEST(HotPathAllocTest, CrossShardPostsAllocateNothingOnceWarm) {
   EXPECT_EQ(bouncers[0].bounces, 1002u);
   EXPECT_EQ(bouncers[1].bounces, 1002u);
   EXPECT_EQ(group.events_per_shard()[0], group.events_per_shard()[1]);
+}
+
+TEST(HotPathAllocTest, WarmCacheLookupCostsUnderSevenTenthsOfACompile) {
+  // The cache pays for itself only while a hit is far cheaper than the
+  // pipeline it skips: lowering the schedule, the footprint and encoding
+  // every frame (compile_plan) against one PlanCache::lookup, per
+  // submission over the 8-template service pool. The measured ratio is
+  // around 0.005; the bound is 0.7.
+  const topo::PlannedPoolWorkload pool =
+      topo::planned_pool_workload(8, 48).value();
+  const core::ExecutorConfig defaults;
+  const std::size_t templates = pool.instances.size();
+  const auto request = [&](std::size_t i) {
+    return controller::request_from_schedule(
+        pool.instances[i], pool.schedules[i],
+        static_cast<FlowId>(defaults.flow + i), defaults.priority,
+        defaults.interval);
+  };
+  std::size_t sink = 0;
+  // Wall time of 200 submissions of every template through `submit`.
+  const auto time_submissions = [&](const auto& submit) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int rep = 0; rep < 200; ++rep)
+      for (std::size_t i = 0; i < templates; ++i) sink += submit(i);
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start);
+  };
+  const auto cold = time_submissions([&](std::size_t i) {
+    return controller::compile_plan(request(i), 0)->frames.size();
+  });
+  controller::PlanCache cache;
+  for (std::size_t i = 0; i < templates; ++i)
+    cache.store(i, controller::compile_plan(request(i), 0));
+  const auto warm = time_submissions([&](std::size_t i) {
+    return cache.lookup(i, 0)->request.rounds.size();
+  });
+  EXPECT_GT(sink, 0u);
+  EXPECT_LE(warm.count(), 0.7 * cold.count())
+      << "a warm lookup costs more than 0.7 of a cold compile";
 }
 
 TEST(HotPathAllocTest, WarmCacheSubmissionWindowAllocatesNothing) {

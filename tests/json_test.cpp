@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "tsu/json/json.hpp"
@@ -32,6 +34,20 @@ TEST(JsonParse, Integers) {
   EXPECT_EQ(must_parse("0").as_int(), 0);
   EXPECT_EQ(must_parse("42").as_int(), 42);
   EXPECT_EQ(must_parse("-7").as_int(), -7);
+}
+
+TEST(JsonParse, CheckedIntegerRead) {
+  EXPECT_EQ(must_parse("42").int_in(0, 100), 42);
+  EXPECT_EQ(must_parse("-0").int_in(0, 1), 0);
+  EXPECT_EQ(must_parse("9007199254740992").int_in(0), kMaxExactInt);
+  // Outside [min, max], fractional, past 2^53, or not a number at all.
+  for (const char* text : {"101", "-1", "2.5", "9007199254740994",
+                           "18446744073709551616", "1e308", "\"7\""})
+    EXPECT_FALSE(must_parse(text).int_in(0, 100).has_value()) << text;
+  EXPECT_FALSE(Value(std::numeric_limits<double>::quiet_NaN())
+                   .int_in(std::numeric_limits<std::int64_t>::min(),
+                           std::numeric_limits<std::int64_t>::max())
+                   .has_value());
 }
 
 TEST(JsonParse, Doubles) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "tsu/rest/rest.hpp"
 #include "tsu/topo/generators.hpp"
 #include "tsu/topo/instances.hpp"
@@ -266,6 +268,34 @@ TEST(RestParseTest, RejectsBadFlowMods) {
                    .ok());
   // Not even JSON.
   EXPECT_FALSE(parse_update_message("oldpath=1,2").ok());
+}
+
+// Numbers from the wire go through a checked integer read: a fraction, a
+// value past the field's range or a non-string action type is an error,
+// never an assertion failure or a silent wrap-around. One case per input.
+TEST(RestParseTest, RejectsNonIntegralAndOutOfRangeNumbers) {
+  const std::pair<const char*, Errc> cases[] = {
+      {R"({"oldpath": [1.5, 2], "newpath": [1, 2]})", Errc::kParseError},
+      {R"({"oldpath": [1, 2], "newpath": [1, 2], "wp": 1e300})",
+       Errc::kParseError},
+      {R"({"oldpath": [1, 2], "newpath": [1, 2],
+           "add": [{"dpid": 1, "cookie": 1e300}]})",
+       Errc::kOutOfRange},
+      {R"({"oldpath": [1, 2], "newpath": [1, 2],
+           "add": [{"dpid": 1, "actions": [{"type": 5}]}]})",
+       Errc::kParseError},
+      {R"({"oldpath": [1, 2], "newpath": [1, 2],
+           "add": [{"dpid": 1, "match": {"flow": -1}}]})",
+       Errc::kOutOfRange},
+      {R"({"oldpath": [1, 2], "newpath": [1, 2],
+           "add": [{"dpid": 1, "actions": [{"type": "OUTPUT", "port": -3}]}]})",
+       Errc::kOutOfRange},
+  };
+  for (const auto& [doc, code] : cases) {
+    const Result<RestUpdateMessage> parsed = parse_update_message(doc);
+    ASSERT_FALSE(parsed.ok()) << doc;
+    EXPECT_EQ(parsed.error().code, code) << doc;
+  }
 }
 
 TEST(RestParseTest, DeleteEntriesSupported) {

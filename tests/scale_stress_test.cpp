@@ -28,6 +28,8 @@ constexpr std::size_t kSwitches = 32;   // 5 blocks of 6: 20 flows/block
 constexpr std::size_t kChaosSeeds = 50;
 constexpr std::size_t kChaosFlows = 20;
 constexpr std::size_t kChaosSwitches = 18;
+constexpr std::size_t kPoolFlows = 64;
+constexpr std::size_t kPoolSwitches = 24;
 #else
 constexpr std::size_t kFlows = 1000;
 constexpr std::size_t kSwitches = 210;  // 35 blocks of 6: ~29 flows/block
@@ -35,7 +37,10 @@ constexpr double kWallClockBudgetSeconds = 60.0;
 constexpr std::size_t kChaosSeeds = 500;
 constexpr std::size_t kChaosFlows = 40;
 constexpr std::size_t kChaosSwitches = 36;
+constexpr std::size_t kPoolFlows = 256;
+constexpr std::size_t kPoolSwitches = 60;
 #endif
+constexpr std::uint64_t kPoolChaosSeeds = 5;  // per recovery arm
 
 // Fast control plane so even the fully serialized run stays within the
 // budget; sparse per-flow traffic still yields thousands of oracle-checked
@@ -60,6 +65,33 @@ ExecutorConfig stress_config(controller::AdmissionPolicy admission) {
   return config;
 }
 
+// A second shared pool: kPoolFlows flows over kPoolSwitches switches on
+// the default control plane, with same-instant batching and 2 ms probes.
+ExecutorConfig pool_config(controller::AdmissionPolicy admission) {
+  ExecutorConfig config;
+  config.seed = 4242;
+  config.traffic_interarrival =
+      sim::LatencyModel::constant(sim::milliseconds(2));
+  config.controller.max_in_flight = kPoolFlows;
+  config.controller.batch_mode = controller::BatchMode::kInstant;
+  config.controller.admission = admission;
+  return config;
+}
+
+// Release only: wall-clock means nothing under -O0 / sanitizers.
+void expect_within_budget(std::chrono::steady_clock::time_point start,
+                          const char* run) {
+#ifdef TSU_STRESS_SLIM
+  (void)start;
+  (void)run;
+#else
+  const std::chrono::duration<double> wall =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(wall.count(), kWallClockBudgetSeconds)
+      << run << " blew its wall-clock budget";
+#endif
+}
+
 void expect_zero_violations(const MultiFlowExecutionResult& result,
                             const char* policy) {
   EXPECT_GT(result.aggregate.total, 0u) << policy;
@@ -68,20 +100,24 @@ void expect_zero_violations(const MultiFlowExecutionResult& result,
   EXPECT_EQ(result.aggregate.blackholed, 0u) << policy;
 }
 
-TEST(ScaleStressTest, ThousandFlowsUnderEveryAdmissionPolicy) {
-  const auto wall_start = std::chrono::steady_clock::now();
+// Runs the `flows`-flow pool over `switches` switches under all three
+// admission policies, every flow in flight at once.
+void check_every_admission_policy(
+    std::size_t flows, std::size_t switches,
+    ExecutorConfig (*make_config)(controller::AdmissionPolicy)) {
   const topo::PlannedPoolWorkload w =
-      topo::planned_pool_workload(kFlows, kSwitches).value();
+      topo::planned_pool_workload(flows, switches).value();
+  const ExecutorConfig config =
+      make_config(controller::AdmissionPolicy::kBlind);
 
   const Result<MultiFlowExecutionResult> blind = execute_multiflow(
-      w.instance_ptrs, w.schedule_ptrs,
-      stress_config(controller::AdmissionPolicy::kBlind));
+      w.instance_ptrs, w.schedule_ptrs, config);
   const Result<MultiFlowExecutionResult> conflict_aware = execute_multiflow(
       w.instance_ptrs, w.schedule_ptrs,
-      stress_config(controller::AdmissionPolicy::kConflictAware));
+      make_config(controller::AdmissionPolicy::kConflictAware));
   const Result<MultiFlowExecutionResult> serialize = execute_multiflow(
       w.instance_ptrs, w.schedule_ptrs,
-      stress_config(controller::AdmissionPolicy::kSerialize));
+      make_config(controller::AdmissionPolicy::kSerialize));
 
   ASSERT_TRUE(blind.ok()) << blind.error().to_string();
   ASSERT_TRUE(conflict_aware.ok()) << conflict_aware.error().to_string();
@@ -91,9 +127,9 @@ TEST(ScaleStressTest, ThousandFlowsUnderEveryAdmissionPolicy) {
   expect_zero_violations(blind.value(), "blind");
   expect_zero_violations(conflict_aware.value(), "conflict_aware");
   expect_zero_violations(serialize.value(), "serialize");
-  ASSERT_EQ(blind.value().flows.size(), kFlows);
-  ASSERT_EQ(conflict_aware.value().flows.size(), kFlows);
-  ASSERT_EQ(serialize.value().flows.size(), kFlows);
+  ASSERT_EQ(blind.value().flows.size(), flows);
+  ASSERT_EQ(conflict_aware.value().flows.size(), flows);
+  ASSERT_EQ(serialize.value().flows.size(), flows);
 
   // Rule-level dependency tracking finds NO conflicts here: the flows
   // share switches but never rules, so conflict-aware admission must reach
@@ -101,8 +137,8 @@ TEST(ScaleStressTest, ThousandFlowsUnderEveryAdmissionPolicy) {
   // have serialized ~29x per block).
   EXPECT_EQ(conflict_aware.value().conflict_edges, 0u);
   EXPECT_EQ(conflict_aware.value().blocked_submissions, 0u);
-  EXPECT_EQ(conflict_aware.value().max_in_flight_observed, kFlows);
-  EXPECT_EQ(blind.value().max_in_flight_observed, kFlows);
+  EXPECT_EQ(conflict_aware.value().max_in_flight_observed, flows);
+  EXPECT_EQ(blind.value().max_in_flight_observed, flows);
 
   // The serializing policy really serialized, whatever max_in_flight says.
   EXPECT_EQ(serialize.value().max_in_flight_observed, 1u);
@@ -115,7 +151,7 @@ TEST(ScaleStressTest, ThousandFlowsUnderEveryAdmissionPolicy) {
 
   // Per-flow violation counts: the conflict-aware run reports exactly what
   // the fully serialized run reports, flow by flow.
-  for (std::size_t i = 0; i < kFlows; ++i) {
+  for (std::size_t i = 0; i < flows; ++i) {
     const dataplane::MonitorReport& ca = conflict_aware.value().flows[i].traffic;
     const dataplane::MonitorReport& s = serialize.value().flows[i].traffic;
     ASSERT_EQ(ca.bypassed, s.bypassed) << "flow " << i;
@@ -123,30 +159,27 @@ TEST(ScaleStressTest, ThousandFlowsUnderEveryAdmissionPolicy) {
     ASSERT_EQ(ca.blackholed, s.blackholed) << "flow " << i;
   }
 
-  // The adaptive hold window is bounded even at full scale.
-  EXPECT_LE(blind.value().batching.max_hold, sim::microseconds(200));
-  EXPECT_LE(conflict_aware.value().batching.max_hold, sim::microseconds(200));
+  // The outbox hold is bounded by its window even at full scale.
+  const sim::Duration window = config.controller.batch_window;
+  EXPECT_LE(blind.value().batching.max_hold, window);
+  EXPECT_LE(conflict_aware.value().batching.max_hold, window);
   EXPECT_GT(conflict_aware.value().batching.batches_sent, 0u);
-
-#ifdef TSU_STRESS_SLIM
-  (void)wall_start;  // wall-clock means nothing under -O0 / sanitizers
-#else
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  EXPECT_LT(wall_seconds, kWallClockBudgetSeconds)
-      << "stress run blew its wall-clock budget";
-#endif
 }
 
-TEST(ScaleStressTest, ShardedFourWayMatchesSingleController) {
+TEST(ScaleStressTest, ThousandFlowsUnderEveryAdmissionPolicy) {
+  const auto wall_start = std::chrono::steady_clock::now();
+  check_every_admission_policy(kFlows, kSwitches, stress_config);
+  check_every_admission_policy(kPoolFlows, kPoolSwitches, pool_config);
+  expect_within_budget(wall_start, "stress run");
+}
+
+TEST(ScaleStressTest, ShardedRunsMatchSingleController) {
   // The sharded controller at full scale: the same pool workload through
-  // 4 hash-partitioned shards (nearly every flow spans shards) with
-  // switch->controller reply batching on, against the single controller
-  // with identical knobs. The final forwarding state must be identical,
-  // the safety oracle silent, and the cross-shard round protocol visibly
-  // exercised.
+  // 2, 4 and 8 hash-partitioned shards (nearly every flow spans shards)
+  // with switch->controller reply batching on, against the single
+  // controller with identical knobs. The final forwarding state must be
+  // identical, the safety oracle silent, and the cross-shard round
+  // protocol visibly exercised.
   const auto wall_start = std::chrono::steady_clock::now();
   const topo::PlannedPoolWorkload w =
       topo::planned_pool_workload(kFlows, kSwitches).value();
@@ -160,49 +193,49 @@ TEST(ScaleStressTest, ShardedFourWayMatchesSingleController) {
       execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config);
   ASSERT_TRUE(single.ok()) << single.error().to_string();
 
-  config.controller.shards = 4;
-  config.controller.partition = topo::PartitionScheme::kHash;
-  const Result<MultiFlowExecutionResult> sharded =
-      execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config);
-  ASSERT_TRUE(sharded.ok()) << sharded.error().to_string();
-
   expect_zero_violations(single.value(), "single");
-  expect_zero_violations(sharded.value(), "sharded-4");
-  ASSERT_EQ(sharded.value().flows.size(), kFlows);
-  EXPECT_EQ(sharded.value().final_state_digest,
-            single.value().final_state_digest);
+  config.controller.partition = topo::PartitionScheme::kHash;
+  for (const std::size_t shards : {2u, 4u, 8u}) {
+    config.controller.shards = shards;
+    const Result<MultiFlowExecutionResult> sharded =
+        execute_multiflow(w.instance_ptrs, w.schedule_ptrs, config);
+    ASSERT_TRUE(sharded.ok()) << shards << " shards: "
+                              << sharded.error().to_string();
 
-  // Per-flow oracle results match the single controller flow by flow.
-  for (std::size_t i = 0; i < kFlows; ++i) {
-    const dataplane::MonitorReport& got = sharded.value().flows[i].traffic;
-    const dataplane::MonitorReport& want = single.value().flows[i].traffic;
-    ASSERT_EQ(got.bypassed, want.bypassed) << "flow " << i;
-    ASSERT_EQ(got.looped, want.looped) << "flow " << i;
-    ASSERT_EQ(got.blackholed, want.blackholed) << "flow " << i;
+    expect_zero_violations(sharded.value(), "sharded");
+    ASSERT_EQ(sharded.value().flows.size(), kFlows);
+    EXPECT_EQ(sharded.value().final_state_digest,
+              single.value().final_state_digest)
+        << shards << " shards";
+
+    // Per-flow oracle results match the single controller flow by flow.
+    for (std::size_t i = 0; i < kFlows; ++i) {
+      const dataplane::MonitorReport& got = sharded.value().flows[i].traffic;
+      const dataplane::MonitorReport& want = single.value().flows[i].traffic;
+      ASSERT_EQ(got.bypassed, want.bypassed) << shards << " shards, flow " << i;
+      ASSERT_EQ(got.looped, want.looped) << shards << " shards, flow " << i;
+      ASSERT_EQ(got.blackholed, want.blackholed)
+          << shards << " shards, flow " << i;
+    }
+
+    // Hash partitioning scatters each flow's block of 6 switches: the run
+    // must have driven the cross-shard protocol hard, and a round only
+    // syncs once per cross-shard request round.
+    EXPECT_EQ(sharded.value().sharding.shards, shards);
+    EXPECT_GT(sharded.value().sharding.cross_shard_updates, kFlows / 2)
+        << shards << " shards";
+    EXPECT_GT(sharded.value().sharding.rounds_synced,
+              sharded.value().sharding.cross_shard_updates)
+        << shards << " shards";
+    // A round's barriers cover the same switch set sharded or not, so the
+    // two-phase protocol costs coordination spread, not extra serial
+    // work: the sharded makespan stays within 2x of the single
+    // controller's.
+    EXPECT_LE(sharded.value().makespan, single.value().makespan * 2)
+        << shards << " shards";
   }
 
-  // Hash partitioning scatters each flow's block of 6 switches: the run
-  // must have driven the cross-shard protocol hard, and a round only
-  // syncs once per cross-shard request round.
-  EXPECT_EQ(sharded.value().sharding.shards, 4u);
-  EXPECT_GT(sharded.value().sharding.cross_shard_updates, kFlows / 2);
-  EXPECT_GT(sharded.value().sharding.rounds_synced,
-            sharded.value().sharding.cross_shard_updates);
-  // A round's barriers cover the same switch set sharded or not, so the
-  // two-phase protocol costs coordination spread, not extra serial work:
-  // the sharded makespan stays within 2x of the single controller's.
-  EXPECT_LE(sharded.value().makespan, single.value().makespan * 2);
-
-#ifdef TSU_STRESS_SLIM
-  (void)wall_start;
-#else
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  EXPECT_LT(wall_seconds, kWallClockBudgetSeconds)
-      << "sharded stress run blew its wall-clock budget";
-#endif
+  expect_within_budget(wall_start, "sharded stress run");
 }
 
 // ----------------------------------------------------------------- chaos
@@ -284,6 +317,42 @@ TEST(ScaleStressTest, ChaosSweepFindsNoTransientViolations) {
   EXPECT_GT(resyncs, kChaosSeeds);  // >= 1 per seed: 3 session losses each
   EXPECT_GT(rollbacks, 0u);
   EXPECT_GT(retries, 0u);
+
+  // The larger pool, whose liveness timeout clears the loaded round RTT
+  // (~3 ms with every flow in flight): only real faults trip it.
+  const topo::PlannedPoolWorkload pool =
+      topo::planned_pool_workload(kPoolFlows, kPoolSwitches).value();
+  ExecutorConfig pool_chaos = chaos_config();
+  pool_chaos.seed = 4242;
+  pool_chaos.drain = sim::milliseconds(10);
+  pool_chaos.controller.liveness_timeout = sim::milliseconds(10);
+  const Result<MultiFlowExecutionResult> pool_clean = execute_multiflow(
+      pool.instance_ptrs, pool.schedule_ptrs, pool_chaos);
+  ASSERT_TRUE(pool_clean.ok()) << pool_clean.error().to_string();
+  for (const controller::FailureResponse response :
+       {controller::FailureResponse::kWait,
+        controller::FailureResponse::kRollback}) {
+    for (std::uint64_t seed = 1; seed <= kPoolChaosSeeds; ++seed) {
+      ExecutorConfig config = pool_chaos;
+      config.controller.failure_response = response;
+      config.faults =
+          sim::FaultSchedule::random(seed, chaos_options(kPoolSwitches));
+      const std::string replay = json::write(config.faults.to_json());
+      const Result<MultiFlowExecutionResult> run =
+          execute_multiflow(pool.instance_ptrs, pool.schedule_ptrs, config);
+      ASSERT_TRUE(run.ok())
+          << "pool seed " << seed << ": " << run.error().to_string()
+          << "\nreplay: " << replay;
+      const verify::TransientCheckReport report = verify::check_fault_trace(
+          config.faults, run.value().faults, run.value().aggregate,
+          kPoolFlows, run.value().flows.size());
+      ASSERT_TRUE(report.ok) << "pool seed " << seed << ": "
+                             << report.to_string() << "\nreplay: " << replay;
+      EXPECT_LE(run.value().makespan,
+                pool_clean.value().makespan + sim::milliseconds(150))
+          << "pool seed " << seed << " makespan blew up\nreplay: " << replay;
+    }
+  }
 }
 
 TEST(ScaleStressTest, ChaosAtFullScaleStaysConsistent) {
@@ -341,16 +410,7 @@ TEST(ScaleStressTest, ChaosAtFullScaleStaysConsistent) {
         << "seed " << seed << "\nreplay: " << replay;
   }
 
-#ifdef TSU_STRESS_SLIM
-  (void)wall_start;
-#else
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-  EXPECT_LT(wall_seconds, kWallClockBudgetSeconds)
-      << "full-scale chaos run blew its wall-clock budget";
-#endif
+  expect_within_budget(wall_start, "full-scale chaos run");
 }
 
 }  // namespace

@@ -262,5 +262,39 @@ TEST(ServiceTest, ShardedServiceDrainsClean) {
   EXPECT_EQ(run.value().steady_state_entries_final, 0u);
 }
 
+// The open-loop operating points of the 8-template, 48-switch pool, whose
+// service capacity is ~690 updates/s: under capacity, near saturation and
+// deep overload (where the bounded pending queue sheds load). Sustained
+// throughput is sim-time and deterministic per seed, so each point must
+// reach the rate it reached when the points were first recorded, with no
+// tolerance, and drain to zero per-update entries.
+TEST(ServiceTest, OpenLoopOperatingPointsHoldTheirRates) {
+  struct Point {
+    double rate;
+    std::size_t max_pending;
+    double min_sustained_per_sec;
+  };
+  for (const Point point : {Point{500, 1024, 497.2091084556675},
+                            Point{700, 1024, 688.5908554722203},
+                            Point{5000, 256, 692.4312422736222}}) {
+    ServiceConfig config;
+    config.exec.seed = 4242;
+    config.exec.with_traffic = false;
+    config.exec.controller.max_in_flight = 16;
+    config.flows = 8;
+    config.pool_switches = 48;
+    config.arrival_rate_per_sec = point.rate;
+    config.max_pending = point.max_pending;
+    config.target_completions = 20000;
+    const Result<ServiceResult> run = execute_service(config);
+    ASSERT_TRUE(run.ok()) << point.rate << "/s: " << run.error().to_string();
+    EXPECT_EQ(run.value().stats.completed, 20000u) << point.rate << "/s";
+    EXPECT_GE(run.value().sustained_per_sec(), point.min_sustained_per_sec)
+        << point.rate << "/s";
+    EXPECT_EQ(run.value().steady_state_entries_final, 0u)
+        << point.rate << "/s";
+  }
+}
+
 }  // namespace
 }  // namespace tsu::core

@@ -13,10 +13,16 @@
 # perfbench/run.py --trace 0 for base and working tree in alternation, N
 # pairs per workload (odd pairs run the working tree first), and prints,
 # per workload and end-to-end metric of BENCHMARK.json, the median and IQR
-# of each side, the change of the medians and in how many pairs the
-# working tree was better, then both sides' final-state digests.
+# of each side, the change of the medians, in how many pairs the working
+# tree was better and a verdict, then both sides' final-state digests.
 #
-# Exit status: 0 when every run passed its checks, 1 otherwise.
+# This is the wall-time gate: a metric REGRESSED when its working-tree
+# median is worse than the base median by more than the metric's bound in
+# BENCHMARK.json and every working-tree run is worse than every base run.
+# A median past the bound with overlapping runs is "unresolved": reported,
+# not failed, since the noise hides the change.
+#
+# Exit status: 1 when a run failed its checks or a metric REGRESSED, else 0.
 set -euo pipefail
 
 base_rev=HEAD
@@ -34,7 +40,7 @@ while [[ $# -gt 0 ]]; do
     --seed) seed="$2"; shift 2 ;;
     --workloads) workloads="$2"; shift 2 ;;
     --scratch) scratch="$2"; shift 2 ;;
-    -h|--help) sed -n '2,19p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
+    -h|--help) sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
     *) echo "bench_ab.sh: unknown argument $1" >&2; exit 2 ;;
   esac
 done
@@ -83,7 +89,8 @@ for workload in $workloads; do
   done
 done
 
-python3 - "$root/BENCHMARK.json" "$scratch/results" "$pairs" $workloads <<'EOF'
+python3 - "$root/BENCHMARK.json" "$scratch/results" "$pairs" $workloads \
+    <<'EOF' || status=1
 import json
 import pathlib
 import sys
@@ -108,6 +115,18 @@ def quantile(values, p):
     return s[lo] + (s[hi] - s[lo]) * (pos - lo)
 
 
+def verdict(spec, base, work):
+    """REGRESSED, unresolved or ok for one metric on one workload."""
+    lower = spec["better"] == "lower"
+    bm = quantile(base, 0.5)
+    loss = (quantile(work, 0.5) - bm) * (1 if lower else -1)
+    if loss <= spec["bound"] * abs(bm):
+        return "ok"
+    separated = min(work) > max(base) if lower else max(work) < min(base)
+    return "REGRESSED" if separated else "unresolved"
+
+
+regressed = []
 for workload in sys.argv[4:]:
     runs = {side: [load(results / f"{workload}-{side}-{i}.json")
                    for i in range(pairs)] for side in ("base", "work")}
@@ -115,7 +134,7 @@ for workload in sys.argv[4:]:
                    for i in range(pairs)] for side in ("base", "work")}
     print(f"\n{workload}")
     print(f"  {'metric':22s} {'base median':>13s} {'IQR':>10s} "
-          f"{'work median':>13s} {'IQR':>10s} {'change':>8s}  better")
+          f"{'work median':>13s} {'IQR':>10s} {'change':>8s}  better  verdict")
     for spec in bench["end_to_end"]:
         name = spec["name"]
         vals = {}
@@ -134,11 +153,17 @@ for workload in sys.argv[4:]:
         change = f"{(wm / bm - 1) * 100:+7.1f}%" if bm else "     n/a"
         lower = spec["better"] == "lower"
         wins = sum(1 for x, y in both if (y < x if lower else y > x))
+        judged = verdict(spec, b, w)
+        if judged == "REGRESSED":
+            regressed.append(f"{workload} {name}")
         print(f"  {name:22s} {bm:13.6g} {quantile(b, 0.75) - quantile(b, 0.25):10.4g} "
               f"{wm:13.6g} {quantile(w, 0.75) - quantile(w, 0.25):10.4g} "
-              f"{change}  {wins}/{len(both)}")
+              f"{change}  {wins:>2d}/{len(both):<3d} {judged}")
     for side in ("base", "work"):
         digests = sorted({d["digest"] for d in docs[side] if d})
         print(f"  {side} digest: {', '.join(digests) or 'none'}")
+if regressed:
+    print(f"\nregressed beyond the bound: {', '.join(regressed)}")
+    sys.exit(1)
 EOF
 exit "$status"
